@@ -6,7 +6,7 @@
    victim thread after each of its store/CAS commit points in turn
    (crash-holding-lock for the lock-based designs, crash-mid-CAS for the
    lock-free ones), then stall it for a finite window, and classify the
-   observed behavior with Ascy_harness.Fault_run's progress oracles:
+   observed behavior with the chaos oracles (Ascy_harness.Fault_run):
 
    - declared non-blocking: no crash placement may wedge the survivors,
      no completed run may corrupt the structure (validation + per-key
@@ -20,6 +20,7 @@
    reproducible with sct_replay) into DIR (default ".") and exits 1. *)
 
 module Fault = Ascy_harness.Fault_run
+module Sct = Ascy_harness.Sct_run
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 
@@ -106,13 +107,14 @@ let () =
                 r.Fault.crash_probes
           | Some (faults, violation, check, wd) ->
               let path = Filename.concat !out_dir ("FAULT_" ^ name ^ ".json") in
-              Fault.save_finding ~path ~watchdog:wd ~check ~model:!model
-                (Fault.chaos_spec name) ~faults ~violation;
+              Sct.save_finding ~path ~faults ~model:!model
+                ~oracles:(Sct.chaos_oracles ~watchdog:wd ~check)
+                (Fault.chaos_spec name) ~prefix:[||] ~violation;
               wrote := true;
               Printf.printf "  %s: %s\n    plan: %s\n    counterexample: %s\n" name violation
                 (Fault.plan_str faults) path;
               (* paranoia: a counterexample that does not reproduce is noise *)
-              let _, _, expected, results = Fault.replay_file ~times:2 path in
+              let { Sct.expected; results; _ } = Sct.replay_file ~times:2 path in
               let reproduces =
                 match (expected, results) with
                 | Some v, [ Some a; Some b ] -> a = v && b = v

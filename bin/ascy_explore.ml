@@ -5,12 +5,11 @@
                        [-model NAME] [-smoke] [-threshold X] [-soft] [NAME ...]
 
    For every algorithm (the full registry, the -smoke subset, or the
-   NAMEs given), run the 3-thread adversarial script of ascy_perf /
-   examples/schedule_fuzz under every requested exploration policy
-   (exhaustive DPOR, uniform random, PCT, swarm) at every requested
-   domain count, and write one EXPLORE_matrix.json row per cell:
-   schedules, steps, wall-clock, schedules/sec, the completeness flag,
-   and the verdict.
+   NAMEs given), run the 3-thread adversarial script Sct_run.fuzz_spec
+   under every requested exploration policy (exhaustive DPOR, uniform
+   random, PCT, swarm) at every requested domain count, and write one
+   EXPLORE_matrix.json row per cell: schedules, steps, wall-clock,
+   schedules/sec, the completeness flag, and the verdict.
 
    Cross-checks, all within one invocation:
    - for a fixed (algorithm, policy), verdicts must be identical at
@@ -34,16 +33,6 @@ module Explorer = Ascy_sct.Explorer
 module Registry = Ascylib.Registry
 module Sim = Ascy_mem.Sim
 module J = Ascy_util.Json
-
-let spec name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
 
 (* A quick correct-algorithms cross-section: two per family plus both
    lock-free hash tables, small enough for CI yet exercising every
@@ -148,7 +137,7 @@ let () =
               (fun domains ->
                 let t0 = Unix.gettimeofday () in
                 let finding, report =
-                  Sct.explore ~mode:Explorer.Dpor ~model ~policy ~domains (spec e.Registry.name)
+                  Sct.explore ~mode:Explorer.Dpor ~model ~policy ~domains (Sct.fuzz_spec e.Registry.name)
                 in
                 let seconds = Unix.gettimeofday () -. t0 in
                 let violation =
@@ -168,7 +157,9 @@ let () =
                       let path =
                         if Sys.file_exists canonical then canonical ^ ".check" else canonical
                       in
-                      Sct.save_finding ~model ~path (spec e.Registry.name) f;
+                      Sct.save_finding ~model ~path ~oracles:Sct.sct_oracles
+                        (Sct.fuzz_spec e.Registry.name) ~prefix:f.Sct.minimized
+                        ~violation:f.Sct.min_violation;
                       if path <> canonical then begin
                         if read_file path <> read_file canonical then
                           hard_fails :=

@@ -3,8 +3,8 @@
    Usage: ascy_perf [-out DIR] [-threshold X] [-soft] [NAME ...]
 
    For every registry algorithm (or just the NAMEs given), run the same
-   bounded DPOR exploration — the 3-thread adversarial script of
-   examples/schedule_fuzz — twice: once under the default MESI directory
+   bounded DPOR exploration — the 3-thread adversarial script
+   Sct_run.fuzz_spec — twice: once under the default MESI directory
    model and once under the O(1) flat uniform-cost model.  Controlled
    scheduling makes program behavior latency-independent, so the two
    sweeps must agree exactly: same schedule count, same decision count,
@@ -23,16 +23,6 @@ module Registry = Ascylib.Registry
 module Sim = Ascy_mem.Sim
 module J = Ascy_util.Json
 
-let spec name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
-
 type probe = {
   p_schedules : int;
   p_steps : int;
@@ -46,7 +36,7 @@ let sweep model entries =
     List.map
       (fun (e : Registry.entry) ->
         let finding, report =
-          Sct.explore ~mode:Explorer.Dpor ~model (spec e.Registry.name)
+          Sct.explore ~mode:Explorer.Dpor ~model (Sct.fuzz_spec e.Registry.name)
         in
         {
           p_schedules = report.Explorer.schedules;

@@ -3,11 +3,11 @@
    The simulator can kill a thread at an exact scheduling decision
    (crash-stop: whatever it held — a lock, a half-linked node — stays
    exactly as it died), stall it for a bounded window, or slow a whole
-   socket.  Ascy_harness.Fault_run turns this into chaos testing with
-   progress oracles: a global-progress watchdog that reports what every
-   survivor was spinning on, per-thread starvation gaps, and post-fault
-   structural validation + per-key conservation (with ±1 slack on the
-   corpse's in-flight key).
+   socket.  Ascy_harness.Sct_run.execute with the chaos oracles armed
+   turns this into chaos testing: a global-progress watchdog that
+   reports what every survivor was spinning on, per-thread starvation
+   gaps, and post-fault structural validation + per-key conservation
+   (with ±1 slack on the corpse's in-flight key).
 
    This demo crash-stops thread 0 after each of its store/CAS commit
    points in turn — crash-holding-lock for the lazy list, crash-mid-CAS
@@ -20,12 +20,13 @@
 
    The wedge is then serialized as a FAULT_*.json counterexample
    (Replay schema v2: schedule prefix + fault plan in the same decision
-   coordinates) and replayed bit-for-bit, the same loop `bin/ascy_chaos`
-   and the CI chaos job run over the whole registry.
+   coordinates) and replayed bit-for-bit through Sct_run.replay_file,
+   the one replay path `bin/sct_replay` and `bin/ascy_chaos` use.
 
    Run with: dune exec examples/fault_demo.exe *)
 
 module Fault = Ascy_harness.Fault_run
+module Sct = Ascy_harness.Sct_run
 module Sim = Ascy_mem.Sim
 
 let file = "FAULT_demo_ll-lazy.json"
@@ -34,6 +35,7 @@ let file = "FAULT_demo_ll-lazy.json"
 let sweep name ~check =
   let spec = Fault.chaos_spec name in
   let cands = Fault.crash_candidates ~victim:0 spec in
+  let oracles = Sct.chaos_oracles ~watchdog:1_000 ~check in
   Printf.printf "%-10s %d crash placements (t0's store/CAS commits)\n%!" name
     (List.length cands);
   let wedge = ref None in
@@ -41,13 +43,16 @@ let sweep name ~check =
     (fun d ->
       if !wedge = None then begin
         let faults = [ { Sim.fe_at = d; fe_tid = 0; fe_fault = Sim.F_crash } ] in
-        let out = Fault.run_spec ~watchdog:1_000 ~check ~faults spec in
-        match (out.Fault.verdict, out.Fault.violation) with
-        | Fault.Wedged _, _ -> wedge := Some (faults, Option.get out.Fault.violation)
-        | Fault.Completed, Some v ->
+        let out =
+          Sct.execute ~faults ~oracles (Sct.maker_of spec) spec
+            ~sched:(Ascy_sct.Scheduler.prefix_scheduler ~prefix:[||] ())
+        in
+        match (out.Sct.verdict, out.Sct.violation) with
+        | Sct.Wedged _, _ -> wedge := Some (faults, Option.get out.Sct.violation)
+        | Sct.Completed, Some v ->
             Printf.printf "%-10s oracle failure under %s: %s\n" name (Fault.plan_str faults) v;
             exit 1
-        | Fault.Completed, None -> ()
+        | Sct.Completed, None -> ()
       end)
     cands;
   (match !wedge with
@@ -70,9 +75,10 @@ let () =
       exit 1
   | Some (faults, violation) ->
       Printf.printf "serializing the lock-holder wedge to %s ...\n" file;
-      Fault.save_finding ~path:file (Fault.chaos_spec "ll-lazy") ~faults ~violation
-        ~watchdog:1_000;
-      let _, _, expected, results = Fault.replay_file ~times:2 file in
+      Sct.save_finding ~path:file ~faults
+        ~oracles:(Sct.chaos_oracles ~watchdog:1_000 ~check:false)
+        (Fault.chaos_spec "ll-lazy") ~prefix:[||] ~violation;
+      let { Sct.expected; results; _ } = Sct.replay_file ~times:2 file in
       let ok =
         match expected with
         | Some v -> List.for_all (fun r -> r = Some v) results

@@ -28,19 +28,10 @@ module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
 module Scheduler = Ascy_sct.Scheduler
 
-(* A small adversarial workload: threads race inserts/removes over a
-   handful of keys.  Deterministic per-thread scripts; the engine owns
-   the interleavings. *)
-let spec name =
-  Sct.mk_spec ~name
-    ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+(* A small adversarial workload (Sct_run.fuzz_spec): threads race
+   inserts/removes over a handful of keys.  Deterministic per-thread
+   scripts; the engine owns the interleavings. *)
+let spec = Sct.fuzz_spec
 
 let bounds = Explorer.default_bounds
 
@@ -103,12 +94,13 @@ let () =
       Printf.printf "ll-async     schedule: %d decisions, minimized to %d (%d context switches)\n"
         (Array.length f.Sct.schedule) (Array.length f.Sct.minimized)
         (max 0 (List.length (Scheduler.to_chunks f.Sct.minimized) - 1));
-      Sct.save_finding ~races:true ~path:file (spec "ll-async") f
+      Sct.save_finding ~path:file ~oracles:{ Sct.sct_oracles with races = true } (spec "ll-async")
+        ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation
   | None, _ ->
       prerr_endline "FATAL: SCT failed to break the asynchronized list";
       exit 1);
   Printf.printf "\nReplaying %s twice (determinism check):\n" file;
-  let _, expected, results = Sct.replay_file ~times:2 file in
+  let { Sct.expected; results; _ } = Sct.replay_file ~times:2 file in
   List.iteri
     (fun i r ->
       Printf.printf "replay %d: %s\n" (i + 1)

@@ -34,14 +34,6 @@ type config = {
   faults : Sim.fault_event list;  (** injected fault plan; [[]] = none *)
   races : bool;  (** attach a happens-before race detector *)
   observer : Sim.observer option;  (** extra analysis observer *)
-  policy : Ascy_sct.Explorer.policy;
-      (** how the exploration drivers ({!Sct_run.explore},
-          {!Fault_run.explore_crash}, [bin/ascy_explore]) pick
-          schedules; {!with_session} itself runs one execution and
-          ignores it *)
-  domains : int;
-      (** worker domains those drivers partition exploration across;
-          1 = sequential (the byte-identical historical path) *)
 }
 
 (** The baseline configuration: free-running, MESI, seed 1, no faults,
@@ -58,8 +50,6 @@ let default ~platform ~nthreads =
     faults = [];
     races = false;
     observer = None;
-    policy = Ascy_sct.Explorer.Exhaustive;
-    domains = 1;
   }
 
 (** One installed simulation plus the instrumentation the config asked

@@ -1,29 +1,32 @@
-(** Systematic concurrency testing of CSDS implementations: scripted set
-    workloads explored schedule-by-schedule ([Ascy_sct.Explorer]), each
-    run checked against two oracles, failing schedules minimized and
-    serialized for bit-for-bit replay.
+(** Scripted set workloads on the simulator: one executor
+    ({!execute}) that builds, prefills, runs one operation script per
+    thread under a given scheduler and fault plan, and applies the
+    oracles its caller arms; systematic concurrency testing on top of it
+    (schedule-by-schedule exploration with [Ascy_sct.Explorer], failing
+    schedules minimized and serialized for bit-for-bit replay).  Chaos
+    testing ({!Fault_run}) is the same executor with other oracles armed.
 
     This is the SCT sibling of {!Sim_run}: where [Sim_run] measures one
     free-running execution, [Sct_run] enumerates bounded interleavings of
     a small deterministic workload and checks every one of them.
 
-    Oracles, in the order applied after each run:
+    Oracles, armed per run through an {!oracles} record and applied in
+    this order:
     - {e crash}: an exception escaping a simulated thread
       ([Sim.Thread_failure]) is a violation — unless the exception is
       [Sim.Thread_killed], the tag carried by injected crash faults,
       which marks deliberate fault-induced termination, not a bug;
-    - {e data race} (opt-in, [~races:true]): the happens-before detector
+    - {e progress watchdog} and {e step budget} (cut the run short: a
+      wedge, or the sl-pugh livelock class of bug under SCT);
+    - {e data race}: the happens-before detector
       ({!Ascy_analysis.Race}) observed two plain writes to the same
       cache line unordered by the run's synchronization;
     - {e structure}: [validate] must pass (ordering/reachability);
     - {e conservation}: for every key, initial membership plus net
-      successful inserts/removes must equal final membership;
+      successful inserts/removes must equal final membership, up to the
+      in-flight ops of crashed threads;
     - {e linearizability}: the recorded invocation/response history must
-      admit a legal linearization ({!History.check}).
-
-    A step-budget overflow under the (fair) controlled scheduler is also
-    a violation — that is how the sl-pugh livelock class of bug
-    surfaces under SCT. *)
+      admit a legal linearization ({!History.check}). *)
 
 module Sim = Ascy_mem.Sim
 module P = Ascy_platform.Platform
@@ -51,6 +54,26 @@ let mk_spec ?(platform = P.xeon20) ~name ~initial ~script () =
   if nthreads < 1 then invalid_arg "Sct_run.mk_spec: empty script";
   { name; platform; nthreads; initial; script }
 
+(** The 3-thread adversarial workload: threads race inserts and removes
+    over keys 1-3, key 2 prefilled.  Its exhaustive bounded DPOR spaces
+    are the repo's pins (ll-lazy: 2099 schedules, 609,932 decisions). *)
+let fuzz_spec name =
+  mk_spec ~name ~initial:[ 2 ]
+    ~script:
+      [|
+        [| (Insert, 1); (Remove, 2); (Insert, 3) |];
+        [| (Insert, 1); (Insert, 2); (Remove, 3) |];
+        [| (Remove, 1); (Insert, 2) |];
+      |]
+    ()
+
+(** Two threads race an insert of the same absent key: enough to break
+    any structure without concurrency control. *)
+let duel_spec name =
+  mk_spec ~name ~initial:[ 2 ]
+    ~script:[| [| (Insert, 1); (Remove, 2) |]; [| (Insert, 1); (Insert, 2) |] |]
+    ()
+
 (** Derive a per-thread script from a {!Workload} the same way
     {!Sim_run} draws operations — per-thread RNGs, schedule-independent
     — so fuzz-style workloads can be explored systematically. *)
@@ -69,26 +92,110 @@ let keys_of spec =
   Array.iter (Array.iter (fun (_, k) -> Hashtbl.replace tbl k ())) spec.script;
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
 
-(** [run_once maker spec ~sched] executes the spec once under [sched]
-    and returns [Some description] iff an oracle rejects the run.
-    Deterministic: the same schedule yields the identical result,
-    including the description string.  [model] selects the coherence
-    cost model: under a controlled scheduler the program's behavior is
-    latency-independent, so oracle verdicts are model-invariant — [flat]
-    gives the same verdicts faster. *)
-let run_once ?(faults = []) ?(races = false) ?(model = Sim.default_model)
+(* ------------------------------------------------------------------ *)
+(* The scripted executor                                               *)
+(* ------------------------------------------------------------------ *)
+
+(** The oracles one scripted execution can arm.  A crash escaping a
+    simulated thread is always a violation (except the injected
+    [Sim.Thread_killed]); everything else is opt-in. *)
+type oracles = {
+  watchdog : int option;
+      (** progress watchdog: the run is wedged once this many decisions
+          pass with no operation completing *)
+  max_steps : int option;  (** step budget: exceeding it is a violation *)
+  races : bool;  (** happens-before data-race detector *)
+  check : bool;
+      (** after a run that completes: structural validation, then
+          per-key conservation, widened by ±1 on the keys of crashed
+          threads' in-flight ops (a crash-stopped update may or may not
+          have taken effect — both are legal) *)
+  linearizable : bool;  (** the recorded history must linearize *)
+}
+
+(** The SCT oracles: crash, structure, conservation, linearizability;
+    races opt-in; the step budget is the explorer's. *)
+let sct_oracles =
+  { watchdog = None; max_steps = None; races = false; check = true; linearizable = true }
+
+(** The chaos oracles: the progress watchdog, plus validation and
+    conservation iff [check] — unsound when a corpse may hold a lock,
+    since even reading the structure back could spin behind it. *)
+let chaos_oracles ~watchdog ~check =
+  { watchdog = Some watchdog; max_steps = None; races = false; check; linearizable = false }
+
+type verdict =
+  | Completed  (** the run was not cut short *)
+  | Wedged of { at : int; spun : (int * string) list }
+      (** the watchdog (or step budget) cut the run at decision [at];
+          [spun] is what each surviving unfinished thread was blocked on *)
+
+type outcome = {
+  verdict : verdict;
+  violation : string option;  (** the first oracle to reject the run *)
+  starved : (int * int) list;
+      (** with the watchdog armed: [(tid, max decision gap between its
+          consecutive op completions)], worst first *)
+  crashed : int list;  (** tids crash-stopped by the fault plan *)
+  done_ops : int array;  (** operations completed, per thread *)
+}
+
+let action_str = function
+  | Sim.A_start -> "not started"
+  | Sim.A_work n -> Printf.sprintf "work(%d)" n
+  | Sim.A_access (k, line) ->
+      Printf.sprintf "%s@line%d"
+        (match k with Sim.Read -> "read" | Sim.Write -> "write" | Sim.Rmw -> "rmw")
+        line
+  | Sim.A_kcas lines ->
+      Printf.sprintf "kcas@lines[%s]"
+        (String.concat "," (Array.to_list (Array.map string_of_int lines)))
+
+(* Watchdog trip, raised from inside the scheduler callback. *)
+exception Wedged_exn of { at : int; spun : (int * string) list }
+
+let maker_of spec = (Ascylib.Registry.by_name spec.name).Ascylib.Registry.maker
+
+(** [execute ?faults ?model ~oracles maker spec ~sched] builds and
+    prefills the spec's structure, runs every thread's script once under
+    [sched] with [faults] injected, and applies the armed [oracles].
+    Deterministic: identical inputs give the identical outcome,
+    including description strings.
+
+    One decision counter, bumped at every scheduling decision, is the
+    history's logical clock, the watchdog's progress mark and the step
+    budget.  [Sim.now] would not do for the clock: it is the executing
+    thread's local clock, which lags arbitrarily for a descheduled
+    thread under a controlled schedule; a thread reads the counter only
+    while scheduled, so op A's response strictly precedes op B's
+    invocation iff A's last step ran before B's first.  [model] selects
+    the coherence cost model: under a controlled scheduler the program's
+    behavior is latency-independent, so verdicts are model-invariant. *)
+let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
     (module A : Ascy_core.Set_intf.MAKER) spec ~sched =
   let module M = A (Sim.Mem) in
-  (* History timestamps must reflect the *scheduling order*: [Sim.now]
-     is the executing thread's local clock, which tracks global order
-     under the default smallest-clock policy but lags arbitrarily for a
-     descheduled thread under a controlled schedule.  A counter bumped
-     at every scheduling decision is a sound logical clock: a thread
-     reads it only while scheduled, so op A's response strictly precedes
-     op B's invocation iff A's last step ran before B's first. *)
-  let clock = ref 0 in
+  let crash_tids =
+    List.filter_map
+      (fun fe -> match fe.Sim.fe_fault with Sim.F_crash -> Some fe.Sim.fe_tid | _ -> None)
+      faults
+  in
+  let window = Option.value oracles.watchdog ~default:max_int in
+  let budget = Option.value oracles.max_steps ~default:max_int in
+  let progress = oracles.watchdog <> None in
+  let decisions = ref 0 in
+  let last_progress = ref 0 in
   let sched runnable =
-    incr clock;
+    incr decisions;
+    if !decisions - !last_progress > window then begin
+      let spun = ref [] in
+      for i = Sim.runnable_count runnable - 1 downto 0 do
+        let tid = Sim.runnable_tid runnable i in
+        if not (List.mem tid crash_tids) then
+          spun := (tid, action_str (Sim.runnable_action runnable i)) :: !spun
+      done;
+      raise (Wedged_exn { at = !decisions; spun = !spun })
+    end;
+    if !decisions > budget then raise (Explorer.Step_limit !decisions);
     sched runnable
   in
   let cfg =
@@ -96,7 +203,7 @@ let run_once ?(faults = []) ?(races = false) ?(model = Sim.default_model)
       (Engine.default ~platform:spec.platform ~nthreads:spec.nthreads) with
       scheduler = Some sched;
       faults;
-      races;
+      races = oracles.races;
       model;
     }
   in
@@ -110,10 +217,13 @@ let run_once ?(faults = []) ?(races = false) ?(model = Sim.default_model)
       List.iter (History.add_initial h) spec.initial;
       let net = Hashtbl.create 32 in
       let bump k d = Hashtbl.replace net k (d + try Hashtbl.find net k with Not_found -> 0) in
+      let done_ops = Array.make spec.nthreads 0 in
+      let last_done = Array.make spec.nthreads 0 in
+      let max_gap = Array.make spec.nthreads 0 in
       let body tid () =
         Array.iter
           (fun (op, k) ->
-            let inv = !clock in
+            let inv = !decisions in
             let ok =
               match op with
               | Search -> M.search t k <> None
@@ -126,67 +236,122 @@ let run_once ?(faults = []) ?(races = false) ?(model = Sim.default_model)
                   if r then bump k (-1);
                   r
             in
-            let res = !clock in
-            let kind =
-              match op with
-              | Search -> History.Search
-              | Insert -> History.Insert
-              | Remove -> History.Remove
-            in
-            History.record h ~tid ~kind ~key:k ~result:ok ~inv ~res;
-            M.op_done t)
+            if oracles.linearizable then
+              History.record h ~tid ~kind:op ~key:k ~result:ok ~inv ~res:!decisions;
+            M.op_done t;
+            done_ops.(tid) <- done_ops.(tid) + 1;
+            if progress then begin
+              let gap = !decisions - last_done.(tid) in
+              if gap > max_gap.(tid) then max_gap.(tid) <- gap;
+              last_done.(tid) <- !decisions;
+              last_progress := !decisions
+            end)
           spec.script.(tid)
       in
-      match Engine.run session (Array.init spec.nthreads body) with
-      | exception Sim.Thread_failure (_, Sim.Thread_killed, _) ->
-          (* fault-induced termination that resurfaced through wrapping
-             test code: deliberate, not a bug *)
-          None
-      | exception Sim.Thread_failure (tid, e, _) ->
-          Some (Printf.sprintf "thread %d crashed: %s" tid (Printexc.to_string e))
-      | _ -> (
-          match Engine.race_violation session with
-          | Some desc -> Some desc
-          | None -> (
-          match M.validate t with
-          | Error msg -> Some (Printf.sprintf "structural invariant broken: %s" msg)
-          | Ok () -> (
-              let bad =
-                List.filter_map
-                  (fun k ->
-                    let wanted =
-                      (if List.mem k spec.initial then 1 else 0)
-                      + (try Hashtbl.find net k with Not_found -> 0)
-                    in
-                    let got = if M.search t k <> None then 1 else 0 in
-                    if wanted <> got then
-                      Some
-                        (Printf.sprintf "key %d: net count %d (initial + successful updates), membership %d"
-                           k wanted got)
-                    else None)
-                  (keys_of spec)
+      let cut =
+        match Engine.run session (Array.init spec.nthreads body) with
+        | _ -> None
+        | exception Wedged_exn { at; spun } ->
+            Some
+              ( Wedged { at; spun },
+                Some
+                  (Printf.sprintf
+                     "watchdog: no operation completed for %d decisions (tripped at %d); %s"
+                     window at
+                     (String.concat ", "
+                        (List.map (fun (tid, a) -> Printf.sprintf "t%d blocked on %s" tid a) spun)))
+              )
+        | exception Explorer.Step_limit d ->
+            Some
+              ( Wedged { at = d; spun = [] },
+                Some (Printf.sprintf "step limit %d exceeded (possible livelock or starvation)" d) )
+        | exception Sim.Thread_failure (_, Sim.Thread_killed, _) ->
+            (* fault-induced termination that resurfaced through wrapping
+               test code: deliberate, not a bug *)
+            Some (Completed, None)
+        | exception Sim.Thread_failure (tid, e, _) ->
+            Some
+              (Completed, Some (Printf.sprintf "thread %d crashed: %s" tid (Printexc.to_string e)))
+      in
+      let crashed = Sim.crashed_tids sim in
+      let conservation () =
+        let inflight tid =
+          if done_ops.(tid) < Array.length spec.script.(tid) then
+            Some spec.script.(tid).(done_ops.(tid))
+          else None
+        in
+        let bad =
+          List.filter_map
+            (fun k ->
+              let wanted =
+                (if List.mem k spec.initial then 1 else 0)
+                + try Hashtbl.find net k with Not_found -> 0
               in
-              match bad with
-              | _ :: _ ->
-                  Some ("set conservation violated: " ^ String.concat "; " bad)
-              | [] -> (
-                  match History.check h with
-                  | Ok () -> None
-                  | Error v -> Some ("not linearizable: " ^ History.pp_violation v))))))
+              let lo = ref 0 and hi = ref 0 in
+              List.iter
+                (fun tid ->
+                  match inflight tid with
+                  | Some (Insert, k') when k' = k -> incr hi
+                  | Some (Remove, k') when k' = k -> decr lo
+                  | _ -> ())
+                crashed;
+              let got = if M.search t k <> None then 1 else 0 in
+              if got < wanted + !lo || got > wanted + !hi then
+                Some
+                  (Printf.sprintf "key %d: net count %d (initial + successful updates)%s, membership %d"
+                     k wanted
+                     (if !lo = 0 && !hi = 0 then ""
+                      else Printf.sprintf ", in-flight slack %+d..%+d" !lo !hi)
+                     got)
+              else None)
+            (keys_of spec)
+        in
+        if bad = [] then None else Some ("set conservation violated: " ^ String.concat "; " bad)
+      in
+      let verdict, violation =
+        match cut with
+        | Some cut -> cut
+        | None ->
+            let validate () =
+              match M.validate t with
+              | Error msg -> Some (Printf.sprintf "structural invariant broken: %s" msg)
+              | Ok () -> None
+            in
+            let linearize () =
+              match History.check h with
+              | Ok () -> None
+              | Error v -> Some ("not linearizable: " ^ History.pp_violation v)
+            in
+            (* the armed post-run oracles, in order; the first to object wins *)
+            ( Completed,
+              List.find_map
+                (fun (armed, oracle) -> if armed then oracle () else None)
+                [
+                  (oracles.races, fun () -> Engine.race_violation session);
+                  (oracles.check, validate);
+                  (oracles.check, conservation);
+                  (oracles.linearizable, linearize);
+                ] )
+      in
+      let starved =
+        let l = ref [] in
+        Array.iteri (fun tid g -> if g > 0 then l := (tid, g) :: !l) max_gap;
+        List.sort (fun (_, a) (_, b) -> compare b a) !l
+      in
+      { verdict; violation; starved; crashed; done_ops })
 
-(* A prefix-replay check with its own step budget, so minimizing or
-   replaying a livelock counterexample cannot itself livelock. *)
-let check_prefix ?races ?model maker spec ~max_steps prefix =
-  let steps = ref 0 in
-  let inner = Scheduler.prefix_scheduler ~prefix () in
-  let sched runnable =
-    incr steps;
-    if !steps > max_steps then raise (Explorer.Step_limit !steps);
-    inner runnable
-  in
-  try run_once ?races ?model maker spec ~sched
-  with Explorer.Step_limit d ->
-    Some (Printf.sprintf "step limit %d exceeded (possible livelock or starvation)" d)
+(** [run_once maker spec ~sched] is {!execute} with the SCT oracles
+    armed ([~races:true] adds the race detector): [Some description]
+    iff an oracle rejects the run. *)
+let run_once ?faults ?(races = false) ?model maker spec ~sched =
+  (execute ?faults ?model ~oracles:{ sct_oracles with races } maker spec ~sched).violation
+
+(* A prefix replay under [oracles].  Callers arm a step budget, so
+   minimizing or replaying a livelock counterexample cannot itself
+   livelock. *)
+let check_prefix ?faults ?model ~oracles maker spec prefix =
+  (execute ?faults ?model ~oracles maker spec ~sched:(Scheduler.prefix_scheduler ~prefix ()))
+    .violation
 
 type finding = {
   violation : string;  (** oracle description from the original failing run *)
@@ -211,18 +376,20 @@ type finding = {
     path.  Findings from every policy and domain count flow through the
     same minimize/replay pipeline, and for a fixed policy seed the
     finding is domain-count invariant. *)
-let explore ?mode ?(bounds = Explorer.default_bounds) ?races ?model ?policy ?domains spec =
-  let maker = (Ascylib.Registry.by_name spec.name).Ascylib.Registry.maker in
+let explore ?mode ?(bounds = Explorer.default_bounds) ?(races = false) ?model ?policy ?domains
+    spec =
+  let maker = maker_of spec in
   let report =
     Ascy_sct.Par_explore.dispatch ?mode ~bounds ?policy ?domains
-      ~run:(fun ~sched -> run_once ?races ?model maker spec ~sched)
+      ~run:(fun ~sched -> run_once ~races ?model maker spec ~sched)
       ()
   in
   let finding =
     match report.Explorer.failure with
     | None -> None
     | Some f ->
-        let check = check_prefix ?races ?model maker spec ~max_steps:bounds.Explorer.max_steps in
+        let oracles = { sct_oracles with races; max_steps = Some bounds.Explorer.max_steps } in
+        let check = check_prefix ?model ~oracles maker spec in
         let minimized = Replay.minimize ~check f.Explorer.f_schedule in
         let min_violation =
           match check minimized with
@@ -322,37 +489,55 @@ let spec_of_meta meta =
   | _ -> raise (Replay.Bad_schedule "nthreads does not match script"));
   { name; platform; nthreads; initial; script }
 
-(** Write a self-contained counterexample file: minimized schedule plus
-    everything needed to rebuild the run ({!spec_meta}).  Pass the same
-    [?races] and [?model] the finding was explored with: both are stored
-    in the file so {!replay_file} re-arms the race oracle and the
-    coherence model (the model field is omitted — and the file is
-    byte-identical to the pre-model format — when it is the default). *)
-let save_finding ?(races = false) ?(model = Sim.default_model) ~path spec finding =
-  Replay.save ~path
-    ~meta:
-      (spec_meta spec
-      @ [ ("violation", J.String finding.min_violation); ("races", J.Bool races) ]
-      @ Engine.model_meta model)
-    ~prefix:finding.minimized ()
-
-(** Load a counterexample file and replay it [times] times; returns the
-    violation description of each replay (all identical when the
-    reproduction is deterministic) and the stored expected violation. *)
-let replay_file ?(times = 2) ?(max_steps = Explorer.default_bounds.Explorer.max_steps) path =
-  let prefix, faults, meta = Replay.load path in
-  if faults <> [] then
-    raise (Replay.Bad_schedule "schedule carries a fault plan: replay it with Fault_run");
-  let spec = spec_of_meta meta in
-  let expected =
-    match List.assoc_opt "violation" meta with Some (J.String s) -> Some s | _ -> None
+(** Write a self-contained counterexample file: the schedule [prefix]
+    and fault plan, everything needed to rebuild the run
+    ({!spec_meta}), the expected [violation], the armed [oracles] and
+    the [model], so {!replay_file} re-arms exactly what found it.  An
+    SCT finding records its race flag; a chaos finding (watchdog armed)
+    records its watchdog window and validation flag.  The model field is
+    omitted — and the file byte-identical to the pre-model format — when
+    it is the default; so is the fault list when empty (schema v1). *)
+let save_finding ~path ?(faults = []) ?(model = Sim.default_model) ~oracles spec ~prefix
+    ~violation =
+  let armed =
+    match oracles.watchdog with
+    | None -> [ ("races", J.Bool oracles.races) ]
+    | Some w -> [ ("watchdog", J.Int w); ("oracles", J.Bool oracles.check) ]
   in
-  let races =
-    match List.assoc_opt "races" meta with Some (J.Bool b) -> b | _ -> false
+  Replay.save ~path ~faults ~prefix
+    ~meta:(spec_meta spec @ (("violation", J.String violation) :: armed) @ Engine.model_meta model)
+    ()
+
+type replay = {
+  spec : spec;
+  faults : Sim.fault_event list;
+  model : Sim.model;
+  expected : string option;  (** the violation stored in the file *)
+  results : string option list;  (** each replay's violation *)
+}
+
+(** Load a counterexample file (SCT schema v1 or chaos schema v2) and
+    replay it [times] times under the oracles and model it records; the
+    results are all identical when the reproduction is deterministic.
+    SCT replays carry the default step budget, so a livelock
+    counterexample cannot livelock its replay. *)
+let replay_file ?(times = 2) path =
+  let prefix, faults, meta = Replay.load path in
+  let spec = spec_of_meta meta in
+  let field k = List.assoc_opt k meta in
+  let oracles =
+    match field "watchdog" with
+    | Some (J.Int w) -> chaos_oracles ~watchdog:w ~check:(field "oracles" = Some (J.Bool true))
+    | _ ->
+        {
+          sct_oracles with
+          races = field "races" = Some (J.Bool true);
+          max_steps = Some Explorer.default_bounds.Explorer.max_steps;
+        }
   in
   let model = Engine.model_of_meta meta in
-  let maker = (Ascylib.Registry.by_name spec.name).Ascylib.Registry.maker in
+  let expected = match field "violation" with Some (J.String s) -> Some s | _ -> None in
   let results =
-    List.init times (fun _ -> check_prefix ~races ~model maker spec ~max_steps prefix)
+    List.init times (fun _ -> check_prefix ~faults ~model ~oracles (maker_of spec) spec prefix)
   in
-  (spec, expected, results)
+  { spec; faults; model; expected; results }

@@ -140,14 +140,7 @@ let test_write_read_not_flagged () =
 (* Through the SCT engine                                              *)
 (* ------------------------------------------------------------------ *)
 
-let duel name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+let duel = Sct.duel_spec
 
 let small_bounds =
   {

@@ -16,14 +16,7 @@ module Par = Ascy_sct.Par_explore
 module Registry = Ascylib.Registry
 module Xorshift = Ascy_util.Xorshift
 
-let duel name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+let duel = Sct.duel_spec
 
 let small_bounds =
   {
@@ -67,15 +60,7 @@ let partition_deterministic name () =
    bst-howley splice-resurrection bug: the repaired protocol must stay
    clean under the partitioned DPOR at any domain count, with the
    identical exhausted space. *)
-let fuzz name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+let fuzz = Sct.fuzz_spec
 
 let test_howley_fuzz_partition_invariant () =
   let spec = fuzz "bst-howley" in

@@ -4,9 +4,10 @@
    decision-index coordinate system; lock-holder crashes wedging every
    survivor (with the watchdog naming the lock site they spin on);
    SSMEM's stuck-epoch detection and detach path under a crashed thread;
-   the Sct_run crash oracle's injected-kill exemption; Replay schema v2
-   round-trips (and v1 output staying fault-free byte-for-byte); and
-   Fault_run's classify / save_finding / replay_file pipeline. *)
+   the Sct_run crash oracle's injected-kill exemption and in-flight
+   conservation slack; Replay schema v2 round-trips (and v1 output
+   staying fault-free byte-for-byte); and Fault_run.classify with the
+   Sct_run save_finding / replay_file pipeline. *)
 
 module Sim = Ascy_mem.Sim
 module SMem = Ascy_mem.Sim.Mem
@@ -137,13 +138,13 @@ let lock_holder_crash ?(expect_line = true) ~name ~mk ~acquire ~release () =
           incr decisions;
           for i = 0 to Sim.runnable_count runnable - 1 do
             match Sim.runnable_action runnable i with
-            | Sim.A_access _ as a -> last_access.(Sim.runnable_tid runnable i) <- Fault.action_str a
+            | Sim.A_access _ as a -> last_access.(Sim.runnable_tid runnable i) <- Sct_run.action_str a
             | _ -> ()
           done;
           (match cand with Some c when !c = 0 && !holding -> c := !decisions | _ -> ());
           if !decisions - !last_progress > watchdog then
             raise
-              (Fault.Wedged_exn
+              (Sct_run.Wedged_exn
                  {
                    at = !decisions;
                    spun =
@@ -180,7 +181,7 @@ let lock_holder_crash ?(expect_line = true) ~name ~mk ~acquire ~release () =
         in
         (line, match Sim.run ~scheduler:sched ~faults sim (Array.init nthreads body) with
                | _ -> Ok finished
-               | exception Fault.Wedged_exn { at; spun } -> Error (at, spun)))
+               | exception Sct_run.Wedged_exn { at; spun } -> Error (at, spun)))
   in
   let c = ref 0 in
   (match run ~faults:[] ~cand:(Some c) with
@@ -331,6 +332,28 @@ let test_sct_run_injected_kill_not_a_violation () =
   in
   Alcotest.(check (option string)) "injected kill is exempt" None violation
 
+(* A crash that lands after an insert's linearizing commit but before
+   the call returns leaves the key present with no completed insert to
+   account for it.  That is legal, so conservation must grant the
+   in-flight slack on the SCT path too, not only under chaos oracles. *)
+let test_sct_run_inflight_slack () =
+  let spec =
+    Sct_run.mk_spec ~name:"ll-lazy" ~initial:[ 2 ]
+      ~script:[| [| (Sct_run.Insert, 1) |]; [| (Sct_run.Search, 2); (Sct_run.Search, 3) |] |]
+      ()
+  in
+  let maker = (Registry.by_name "ll-lazy").Registry.maker in
+  let cands = Fault.crash_candidates ~victim:0 spec in
+  Alcotest.(check bool) "the victim's insert has commit points" true (cands <> []);
+  List.iter
+    (fun d ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "crash(t0)@%d is not a violation" d)
+        None
+        (Sct_run.run_once ~faults:[ crash ~at:d 0 ] maker spec
+           ~sched:(Scheduler.prefix_scheduler ~prefix:[||] ())))
+    cands
+
 (* ---------------- Replay schema v2 ------------------------------- *)
 
 let test_replay_v2_roundtrip () =
@@ -375,13 +398,21 @@ let test_classify_lock_based_wedges_and_replays () =
   Alcotest.(check bool) "observed blocking" true (r.Fault.observed = Ascy.Blocking);
   Alcotest.(check bool) "matches its declaration" true (Fault.matches r);
   Alcotest.(check bool) "stall survived" true r.Fault.stall_ok;
+  (* decision indexing pinned: the first commit placement wedges *)
+  Alcotest.(check int) "crash probes" 1 r.Fault.crash_probes;
   match r.Fault.witness with
   | None -> Alcotest.fail "no wedge witness for a lock-based design"
   | Some (faults, violation) ->
-      Alcotest.(check bool) "watchdog described the wedge" true (contains violation "watchdog");
+      Alcotest.(check string) "witness plan" "crash(t0)@5" (Fault.plan_str faults);
+      Alcotest.(check string) "watchdog described the wedge"
+        "watchdog: no operation completed for 2000 decisions (tripped at 2061); t1 blocked on \
+         work(6), t2 blocked on work(6)"
+        violation;
       let path = Filename.temp_file "fault_ll_lazy" ".json" in
-      Fault.save_finding ~path (Fault.chaos_spec "ll-lazy") ~faults ~violation;
-      let _, faults', expected, results = Fault.replay_file ~times:2 path in
+      Sct_run.save_finding ~path ~faults
+        ~oracles:(Sct_run.chaos_oracles ~watchdog:2_000 ~check:false)
+        (Fault.chaos_spec "ll-lazy") ~prefix:[||] ~violation;
+      let { Sct_run.faults = faults'; expected; results; _ } = Sct_run.replay_file ~times:2 path in
       Sys.remove path;
       Alcotest.(check bool) "plan round-trips" true (faults = faults');
       Alcotest.(check (option string)) "expected violation stored" (Some violation) expected;
@@ -398,7 +429,10 @@ let test_classify_lock_free_survives () =
   Alcotest.(check bool) "observed non-blocking" true (r.Fault.observed = Ascy.Non_blocking);
   Alcotest.(check bool) "matches its declaration" true (Fault.matches r);
   Alcotest.(check bool) "no oracle failures" true (r.Fault.oracle_failures = []);
-  Alcotest.(check bool) "several crash placements probed" true (r.Fault.crash_probes > 3)
+  Alcotest.(check int) "every commit placement probed" 9 r.Fault.crash_probes;
+  Alcotest.(check bool) "no wedge witness" true (r.Fault.witness = None);
+  Alcotest.(check string) "stall at the first commit" "stall(t0,500)@6"
+    (Fault.plan_str r.Fault.stall_plan)
 
 let suite =
   [
@@ -416,6 +450,8 @@ let suite =
       test_ssmem_crashed_thread_pins_garbage;
     Alcotest.test_case "sct_run: injected kill is not a violation" `Quick
       test_sct_run_injected_kill_not_a_violation;
+    Alcotest.test_case "sct_run: crash past an insert's commit is not a violation" `Quick
+      test_sct_run_inflight_slack;
     Alcotest.test_case "replay v2 roundtrip (prefix + faults + meta)" `Quick
       test_replay_v2_roundtrip;
     Alcotest.test_case "replay v1 output unchanged without faults" `Quick

@@ -21,17 +21,9 @@ let mesi = Sim.model_of_name "mesi"
 let flat = Sim.model_of_name "flat"
 let moesi = Sim.model_of_name "moesi"
 
-(* the 3-thread adversarial script of examples/schedule_fuzz — the
-   workload behind the repo's pinned 2099-schedule ll-lazy space *)
-let spec name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+(* the 3-thread adversarial script behind the repo's pinned
+   2099-schedule ll-lazy space *)
+let spec = Sct.fuzz_spec
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -125,7 +117,8 @@ let test_replay_rearms_model () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Sct.save_finding ~races:true ~model:flat ~path (spec "ll-async") f;
+      Sct.save_finding ~model:flat ~path ~oracles:{ Sct.sct_oracles with races = true }
+        (spec "ll-async") ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation;
       let meta =
         let _, _, meta = Ascy_sct.Replay.load path in
         meta
@@ -133,7 +126,7 @@ let test_replay_rearms_model () =
       Alcotest.(check string)
         "non-default model recorded in meta" "flat"
         (Sim.model_name_of (Engine.model_of_meta meta));
-      let _, expected, results = Sct.replay_file ~times:2 path in
+      let { Sct.expected; results; _ } = Sct.replay_file ~times:2 path in
       Alcotest.(check bool)
         "replay reproduces under the recorded model" true
         (match (expected, results) with

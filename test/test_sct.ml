@@ -18,16 +18,7 @@ module Explorer = Ascy_sct.Explorer
 module Scheduler = Ascy_sct.Scheduler
 module Replay = Ascy_sct.Replay
 
-(* Two threads race an insert of the same absent key; enough to break
-   any structure without concurrency control. *)
-let duel name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+let duel = Sct.duel_spec
 
 (* Small bounds that every family exhausts in well under a second. *)
 let small_bounds =
@@ -57,8 +48,9 @@ let test_seq_list_counterexample () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Sct.save_finding ~path spec f;
-          let _, expected, results = Sct.replay_file ~times:2 path in
+          Sct.save_finding ~path ~oracles:Sct.sct_oracles spec ~prefix:f.Sct.minimized
+            ~violation:f.Sct.min_violation;
+          let { Sct.expected; results; _ } = Sct.replay_file ~times:2 path in
           Alcotest.(check (option string))
             "stored violation matches the finding" (Some f.Sct.min_violation) expected;
           Alcotest.(check (list (option string)))
@@ -140,17 +132,9 @@ let test_schedule_file_roundtrip () =
 (* Cross-policy conformance                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The 3-thread adversarial workload of examples/schedule_fuzz — the
-   spec behind the ll-lazy "2099 schedules" exhaustive pin. *)
-let fuzz name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+(* The 3-thread adversarial workload behind the ll-lazy "2099
+   schedules" exhaustive pin. *)
+let fuzz = Sct.fuzz_spec
 
 (* Every randomized policy must find the known seq-list violation,
    push it through the same minimize/serialize pipeline, and replay it
@@ -174,8 +158,9 @@ let policy_conformance policy () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Sct.save_finding ~path spec f;
-          let _, expected, results = Sct.replay_file ~times:2 path in
+          Sct.save_finding ~path ~oracles:Sct.sct_oracles spec ~prefix:f.Sct.minimized
+            ~violation:f.Sct.min_violation;
+          let { Sct.expected; results; _ } = Sct.replay_file ~times:2 path in
           Alcotest.(check (option string))
             "stored violation matches the finding" (Some f.Sct.min_violation) expected;
           Alcotest.(check (list (option string)))
