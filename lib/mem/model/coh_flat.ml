@@ -1,16 +1,19 @@
 (** The O(1) uniform-cost model ({!Cohmodel.S}): every access is a
     private-cache hit; atomics pay the platform's atomic surcharge on
     top.  No line state, no tag arrays, no per-line directory — creating
-    an instance allocates nothing beyond the record, where the MESI
-    directory model allocates multi-megabyte tag arrays per simulation.
+    an instance allocates nothing beyond the record, and an access does
+    no work beyond counting it.
 
-    Use it where timing fidelity is irrelevant and run volume is the
-    bottleneck: SCT/DPOR exploration re-executes the program once per
-    explored schedule under a {e controlled} scheduler, so program
-    behavior, oracle verdicts, DPOR dependence (per-line read/write
-    conflicts) and therefore schedule counts are identical under any
-    cost model — only the clock values differ.  The same holds for
-    analysis sweeps driven by controlled schedules.
+    It is the cost-free model, not the only fast one: the directory
+    models grow their tag arrays with the lines a run allocates, so an
+    SCT sweep under MESI costs about 1.1x what it costs here.  Use it
+    where timing fidelity is irrelevant: SCT/DPOR exploration
+    re-executes the program once per explored schedule under a
+    {e controlled} scheduler, so program behavior, oracle verdicts, DPOR
+    dependence (per-line read/write conflicts) and therefore schedule
+    counts are identical under any cost model — only the clock values
+    differ.  The same holds for analysis sweeps driven by controlled
+    schedules.
 
     Do not use it to {e measure} anything: throughput, latency classes,
     power and NUMA effects all degenerate by construction (every access

@@ -12,6 +12,11 @@
     - a directory per line tracking the owning core (modified state) and
       the sharer set.
 
+    The tag arrays ({!Tag_array}) grow with the lines a run allocates
+    and stop at the platform's size, with the same hits and evictions,
+    so a short run (one SCT schedule) allocates kilobytes of tags, not
+    the platform's megabytes.
+
     Costs: private hits, local LLC hits, in-socket and cross-socket
     dirty-line transfers, remote clean fetches and DRAM — exactly the
     mechanism the paper identifies as the scalability limiter (stores to
@@ -23,54 +28,43 @@ open Simtypes
 
 let name = "mesi"
 
-type line_state = { mutable owner : int; sharers : Ascy_util.Bits.t }
-
 type t = {
   plat : P.t;
-  lines : line_state Ascy_util.Vec.t;
-  priv : int array array; (* per-core direct-mapped private-cache tags *)
-  priv_mask : int;
-  llc_tags : int array array; (* per-socket LLC tags *)
-  llc_mask : int;
+  lines : Tag_array.line_state Ascy_util.Vec.t;
+  priv : Tag_array.t; (* per-core private-cache tags *)
+  llc : Tag_array.t; (* per-socket LLC tags *)
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
-
-let dummy_line = { owner = -1; sharers = Ascy_util.Bits.create 1 }
-
 let create ~platform =
-  let priv_slots = pow2_at_least (min platform.P.l1_lines 16384) 64 in
-  let llc_slots = pow2_at_least (min platform.P.llc_lines 524288) 1024 in
   {
     plat = platform;
-    lines = Ascy_util.Vec.create ~capacity:4096 dummy_line;
-    priv = Array.init platform.P.cores (fun _ -> Array.make priv_slots (-1));
-    priv_mask = priv_slots - 1;
-    llc_tags = Array.init platform.P.sockets (fun _ -> Array.make llc_slots (-1));
-    llc_mask = llc_slots - 1;
+    lines = Ascy_util.Vec.create ~capacity:64 Tag_array.dummy_line;
+    priv = Tag_array.private_caches platform;
+    llc = Tag_array.llcs platform;
   }
 
-let on_new_line t _id =
-  Ascy_util.Vec.push t.lines { owner = -1; sharers = Ascy_util.Bits.create t.plat.P.cores }
+let on_new_line t id =
+  Ascy_util.Vec.push t.lines
+    { Tag_array.owner = -1; sharers = Ascy_util.Bits.create t.plat.P.cores };
+  Tag_array.grow t.priv id;
+  Tag_array.grow t.llc id
 
 let em = P.energy_model
 
 (* Install [line] in [core]'s private cache, evicting (and de-registering)
    whatever direct-mapped slot it lands on. *)
 let install_priv t core line =
-  let slot = line land t.priv_mask in
-  let old = t.priv.(core).(slot) in
+  let old = Tag_array.install t.priv core line in
   if old >= 0 && old <> line then begin
     let ols = Ascy_util.Vec.get t.lines old in
     Ascy_util.Bits.remove ols.sharers core;
     if ols.owner = core then ols.owner <- -1 (* silent writeback *)
-  end;
-  t.priv.(core).(slot) <- line
+  end
 
-let in_priv t core line = t.priv.(core).(line land t.priv_mask) = line
+let in_priv t core line = Tag_array.mem t.priv core line
 
-let install_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) <- line
-let in_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) = line
+let install_llc t socket line = ignore (Tag_array.install t.llc socket line)
+let in_llc t socket line = Tag_array.mem t.llc socket line
 
 let access t cnt ~core:c ~socket:s kind line =
   let p = t.plat in

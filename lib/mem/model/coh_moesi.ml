@@ -24,66 +24,54 @@
     writer's private one), so a subsequent remote read is a c2c
     transfer, never a stale LLC hit.  Latency constants still come from
     the platform record; this model changes {e which} class an access
-    falls in, which is what shapes the curves. *)
+    falls in, which is what shapes the curves.
+
+    The tag arrays are {!Tag_array}s, as in {!Coh_mesi}: they grow with
+    the lines a run allocates and stop at the platform's size. *)
 
 module P = Ascy_platform.Platform
 open Simtypes
 
 let name = "moesi"
 
-type line_state = { mutable owner : int; sharers : Ascy_util.Bits.t }
-
 type t = {
   plat : P.t;
-  lines : line_state Ascy_util.Vec.t;
-  priv : int array array;
-  priv_mask : int;
-  llc_tags : int array array; (* per-socket victim LLC *)
-  llc_mask : int;
+  lines : Tag_array.line_state Ascy_util.Vec.t;
+  priv : Tag_array.t;
+  llc : Tag_array.t; (* per-socket victim LLC *)
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
-
-let dummy_line = { owner = -1; sharers = Ascy_util.Bits.create 1 }
-
 let create ~platform =
-  let priv_slots = pow2_at_least (min platform.P.l1_lines 16384) 64 in
-  let llc_slots = pow2_at_least (min platform.P.llc_lines 524288) 1024 in
   {
     plat = platform;
-    lines = Ascy_util.Vec.create ~capacity:4096 dummy_line;
-    priv = Array.init platform.P.cores (fun _ -> Array.make priv_slots (-1));
-    priv_mask = priv_slots - 1;
-    llc_tags = Array.init platform.P.sockets (fun _ -> Array.make llc_slots (-1));
-    llc_mask = llc_slots - 1;
+    lines = Ascy_util.Vec.create ~capacity:64 Tag_array.dummy_line;
+    priv = Tag_array.private_caches platform;
+    llc = Tag_array.llcs platform;
   }
 
-let on_new_line t _id =
-  Ascy_util.Vec.push t.lines { owner = -1; sharers = Ascy_util.Bits.create t.plat.P.cores }
+let on_new_line t id =
+  Ascy_util.Vec.push t.lines
+    { Tag_array.owner = -1; sharers = Ascy_util.Bits.create t.plat.P.cores };
+  Tag_array.grow t.priv id;
+  Tag_array.grow t.llc id
 
 let em = P.energy_model
 
-let install_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) <- line
-let in_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) = line
-
-let evict_llc t socket line =
-  let slot = line land t.llc_mask in
-  if t.llc_tags.(socket).(slot) = line then t.llc_tags.(socket).(slot) <- -1
+let install_llc t socket line = ignore (Tag_array.install t.llc socket line)
+let in_llc t socket line = Tag_array.mem t.llc socket line
 
 (* Victim-cache fill: a line evicted from a private cache lands in its
    socket's LLC — the only way the LLC is filled outside [warm]. *)
 let install_priv t core socket line =
-  let slot = line land t.priv_mask in
-  let old = t.priv.(core).(slot) in
+  let old = Tag_array.install t.priv core line in
   if old >= 0 && old <> line then begin
     let ols = Ascy_util.Vec.get t.lines old in
     Ascy_util.Bits.remove ols.sharers core;
-    if ols.owner = core then ols.owner <- -1 (* writeback into the victim LLC *)
-  end;
-  if old >= 0 && old <> line then install_llc t socket old;
-  t.priv.(core).(slot) <- line
+    if ols.owner = core then ols.owner <- -1 (* writeback into the victim LLC *);
+    install_llc t socket old
+  end
 
-let in_priv t core line = t.priv.(core).(line land t.priv_mask) = line
+let in_priv t core line = Tag_array.mem t.priv core line
 
 let access t cnt ~core:c ~socket:s kind line =
   let p = t.plat in
@@ -207,7 +195,7 @@ let access t cnt ~core:c ~socket:s kind line =
         (* every LLC copy is now stale: the only valid copy is the
            writer's private (M-state) one *)
         for os = 0 to p.P.sockets - 1 do
-          evict_llc t os line
+          Tag_array.evict t.llc os line
         done;
         let extra =
           match kind with

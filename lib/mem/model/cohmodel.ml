@@ -10,10 +10,11 @@
       model the repository has always used.  Byte-identical to the
       pre-refactor monolith: schedule counts, golden results and replay
       files are unchanged.
-    - {!Coh_flat}: O(1) uniform cost, no line state at all.  For
-      SCT/DPOR exploration and analysis sweeps, where the schedule is
-      controlled and timing fidelity is irrelevant — it skips the
-      multi-megabyte tag arrays a directory model allocates per run.
+    - {!Coh_flat}: O(1) uniform cost, no line state at all: the
+      cost-free model, for runs where the schedule is controlled and
+      timing fidelity is irrelevant.  (The directory models are cheap
+      to create too: their tag arrays grow with the lines a run
+      allocates, see {!Tag_array}.)
     - {!Coh_moesi}: an Opteron-style non-inclusive (victim) LLC with an
       Owned state, for reproducing the paper's cross-platform shape
       differences (Opteron's HT-interconnect LLC vs. the Xeons'

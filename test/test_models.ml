@@ -236,6 +236,85 @@ let test_mesi_golden_stats () =
   Alcotest.(check int) "l1 hits" 13 st.Sim.hits_l1;
   Alcotest.(check int) "local transfers" 386 st.Sim.transfers_local
 
+(* ten T4-4 threads (eight on socket 0, two on socket 1) allocate
+   70,000 lines while touching pseudo-random older ones, then sweep every
+   line three times (the middle pass writes every fifth).  72,048 lines
+   exceed both tag-array caps of the platform (8192 private slots, 65,536
+   LLC slots), so the arrays grow while accesses are in flight, reach
+   their cap, and direct-mapped evictions decide the miss classes. *)
+let cap_crossing model =
+  let nthreads = 10 and per_thread = 7_000 and preset = 2_048 in
+  Sim.with_sim ~seed:7 ~model ~platform:P.t44 ~nthreads (fun sim ->
+      let all = Array.make (preset + (nthreads * per_thread)) (Mem.make_fresh 0) in
+      for k = 1 to preset - 1 do
+        all.(k) <- Mem.make_fresh k
+      done;
+      let n = ref preset in
+      let body i () =
+        for j = 1 to per_thread do
+          all.(!n) <- Mem.make_fresh j;
+          incr n;
+          let old = all.(((!n * 7919) + (i * 131)) mod !n) in
+          if j mod 9 = 0 then ignore (Mem.fetch_and_add old 1)
+          else if j mod 4 = 0 then Mem.set old j
+          else ignore (Mem.get old)
+        done;
+        for pass = 0 to 2 do
+          let k = ref ((i + pass) mod nthreads) in
+          while !k < !n do
+            let r = all.(!k) in
+            if pass = 1 && !k mod 5 = 0 then Mem.set r pass else ignore (Mem.get r);
+            k := !k + nthreads
+          done
+        done
+      in
+      let makespan = Sim.run sim (Array.init nthreads body) in
+      Alcotest.(check int) "lines allocated" 72_048 !n;
+      (makespan, Sim.stats sim ~makespan))
+
+let check_cap_crossing model ~makespan:m ~l1 ~llc ~c2c_local ~c2c_remote ~remote ~mem =
+  let makespan, st = cap_crossing model in
+  Alcotest.(check int) "makespan" m makespan;
+  Alcotest.(check int) "accesses" 356_144 st.Sim.accesses;
+  Alcotest.(check int) "l1 hits" l1 st.Sim.hits_l1;
+  Alcotest.(check int) "llc hits" llc st.Sim.hits_llc;
+  Alcotest.(check int) "local transfers" c2c_local st.Sim.transfers_local;
+  Alcotest.(check int) "remote transfers" c2c_remote st.Sim.transfers_remote;
+  Alcotest.(check int) "remote fetches" remote st.Sim.fetch_remote;
+  Alcotest.(check int) "memory" mem st.Sim.misses_mem
+
+let test_mesi_cap_crossing () =
+  check_cap_crossing mesi ~makespan:4_434_307 ~l1:69_988 ~llc:112_622 ~c2c_local:46_035
+    ~c2c_remote:15_968 ~remote:27_529 ~mem:84_002
+
+let test_moesi_cap_crossing () =
+  check_cap_crossing moesi ~makespan:4_806_782 ~l1:69_988 ~llc:79_259 ~c2c_local:68_207
+    ~c2c_remote:24_119 ~remote:29_514 ~mem:85_057
+
+(* Bytes allocated so far.  On OCaml 5.1, [Gc.allocated_bytes]
+   under-counts small minor-heap allocations (about 1.3 KB reported for
+   20 arrays of 65 words), so the minor part comes from
+   [Gc.minor_words], which counts them exactly. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* per-run set-up cost: SCT re-executes from a fresh simulation once per
+   schedule, so a model whose [create] allocates platform-sized tag
+   arrays (about 9.7 MB on the Xeon20) multiplies every exploration *)
+let test_create_allocates_little () =
+  List.iter
+    (fun model ->
+      let create () = ignore (Sim.create ~model ~platform:P.xeon20 ~nthreads:3 ()) in
+      create ();
+      let before = allocated_bytes () in
+      create ();
+      let bytes = allocated_bytes () -. before in
+      if bytes >= 65_536. then
+        Alcotest.failf "%s: Sim.create allocated %.0f bytes (limit 64 KB)" (Sim.model_name_of model)
+          bytes)
+    [ mesi; moesi; flat ]
+
 let suite =
   [
     Alcotest.test_case "model registry" `Quick test_registry;
@@ -251,4 +330,7 @@ let suite =
     Alcotest.test_case "flat is uniform cost" `Quick test_flat_is_uniform;
     Alcotest.test_case "default = explicit mesi" `Quick test_mesi_default_identity;
     Alcotest.test_case "mesi golden stats" `Quick test_mesi_golden_stats;
+    Alcotest.test_case "mesi golden stats past the tag caps" `Quick test_mesi_cap_crossing;
+    Alcotest.test_case "moesi golden stats past the tag caps" `Quick test_moesi_cap_crossing;
+    Alcotest.test_case "Sim.create allocates under 64 KB" `Quick test_create_allocates_little;
   ]
