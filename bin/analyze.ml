@@ -1,6 +1,6 @@
 (* ASCY conformance sweep: observed vs declared ASCY1-4 vectors.
 
-   Usage: ascy_analyze [-out DIR] [-model NAME] [NAME ...]
+   Usage: ascy analyze [--out DIR] [--model NAME] [NAME ...]
 
    For every registry algorithm (or just the NAMEs given), profile every
    operation of two deterministic simulator runs — a contended 4-thread
@@ -18,39 +18,13 @@ module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 module J = Ascy_util.Json
 
-let () =
-  let out_dir = ref "." in
-  let model = ref Ascy_mem.Sim.default_model in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        out_dir := d;
-        parse rest
-    | "-model" :: m :: rest ->
-        model := Ascy_mem.Sim.model_of_name m;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline "usage: ascy_analyze [-out DIR] [-model NAME] [NAME ...]";
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let entries =
-    match !names with
-    | [] -> Registry.all
-    | names -> List.map Registry.by_name (List.rev names)
-  in
+let run out_dir model entries =
   Printf.printf "ASCY conformance sweep: %d algorithms, %s%s\n\n" (List.length entries)
     "per-op phase profiles over contended (4T) + single-thread runs"
-    (let mn = Ascy_mem.Sim.model_name_of !model in
-     if mn = Ascy_mem.Sim.model_name_of Ascy_mem.Sim.default_model then ""
-     else " [model " ^ mn ^ "]");
+    (Cli.model_suffix model);
   Printf.printf "%-14s %-11s %-4s %-8s %-8s %7s %7s %6s %6s  %s\n" "name" "family" "sync"
     "declared" "observed" "ratio" "budget" "s.bad" "p.bad" "verdict";
-  let reports = Check.sweep ~entries ~model:!model () in
+  let reports = Check.sweep ~entries ~model () in
   let failures = ref [] in
   List.iter
     (fun (r : Check.report) ->
@@ -66,13 +40,8 @@ let () =
         (if ok then "ok" else "MISMATCH");
       if not ok then failures := r :: !failures)
     reports;
-  let path = Filename.concat !out_dir "ASCY_CHECK.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 (Check.check_json reports));
-      output_char oc '\n');
+  let path = Filename.concat out_dir "ASCY_CHECK.json" in
+  J.write_file ~path (Check.check_json reports);
   Printf.printf "\n[evidence -> %s]\n" path;
   match !failures with
   | [] ->
@@ -94,3 +63,9 @@ let () =
             m.Check.m_ratio m.Check.m_budget)
         fs;
       exit 1
+
+let cmd : unit Cmdliner.Cmd.t =
+  Cmdliner.(
+    Cmd.v
+      (Cmd.info "analyze" ~doc:"ASCY conformance sweep: observed vs declared ASCY1-4 vectors")
+      Term.(const run $ Cli.out $ Cli.model Ascy_mem.Sim.default_model $ Cli.algos ()))

@@ -1,6 +1,6 @@
 (* Chaos sweep: observed vs declared progress guarantees under faults.
 
-   Usage: ascy_chaos [-out DIR] [-watchdog N] [-model NAME] [NAME ...]
+   Usage: ascy chaos [--out DIR] [--watchdog N] [--model NAME] [NAME ...]
 
    For every registry algorithm (or just the NAMEs given), crash-stop a
    victim thread after each of its store/CAS commit points in turn
@@ -17,53 +17,23 @@
 
    Prints the declared-vs-observed table.  On any mismatch, writes a
    replayable FAULT_<name>.json counterexample (Replay schema v2,
-   reproducible with sct_replay) into DIR (default ".") and exits 1. *)
+   reproducible with ascy replay) into DIR (default ".") and exits 1. *)
 
 module Fault = Ascy_harness.Fault_run
 module Sct = Ascy_harness.Sct_run
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 
-let () =
-  let out_dir = ref "." in
-  let watchdog = ref 2_000 in
-  let model = ref Ascy_mem.Sim.default_model in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        out_dir := d;
-        parse rest
-    | "-watchdog" :: n :: rest ->
-        watchdog := int_of_string n;
-        parse rest
-    | "-model" :: m :: rest ->
-        model := Ascy_mem.Sim.model_of_name m;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline "usage: ascy_chaos [-out DIR] [-watchdog N] [-model NAME] [NAME ...]";
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let entries =
-    match !names with
-    | [] -> Registry.all
-    | names -> List.map Registry.by_name (List.rev names)
-  in
+let run out_dir watchdog model entries =
   Printf.printf "chaos sweep: %d algorithms, %s%s\n\n" (List.length entries)
     "crash-after-each-commit + finite-stall fault plans"
-    (let mn = Ascy_mem.Sim.model_name_of !model in
-     if mn = Ascy_mem.Sim.model_name_of Ascy_mem.Sim.default_model then ""
-     else " [model " ^ mn ^ "]");
+    (Cli.model_suffix model);
   Printf.printf "%-14s %-11s %-4s %-12s %-12s %6s %6s  %s\n" "name" "family" "sync" "declared"
     "observed" "probes" "stall" "verdict";
   let failures = ref [] in
   List.iter
     (fun (entry : Registry.entry) ->
-      let r = Fault.classify ~watchdog:!watchdog ~model:!model entry in
+      let r = Fault.classify ~watchdog ~model entry in
       let ok = Fault.matches r in
       Printf.printf "%-14s %-11s %-4s %-12s %-12s %6d %6s  %s\n%!" entry.Registry.name
         (Ascy.family_to_string entry.Registry.family)
@@ -81,19 +51,18 @@ let () =
       exit 0
   | fs ->
       Printf.printf "\n%d mismatch(es):\n" (List.length fs);
-      let wrote = ref false in
       List.iter
         (fun (r : Fault.report) ->
           let name = r.Fault.entry.Registry.name in
           (* pick a concrete failing run to serialize, when one exists *)
           let finding =
             match (r.Fault.witness, r.Fault.oracle_failures) with
-            | Some (faults, v), _ -> Some (faults, v, false, !watchdog)
-            | None, (faults, v) :: _ -> Some (faults, v, true, !watchdog)
+            | Some (faults, v), _ -> Some (faults, v, false, watchdog)
+            | None, (faults, v) :: _ -> Some (faults, v, true, watchdog)
             | None, [] ->
                 if not r.Fault.stall_ok then
                   match r.Fault.stall_violation with
-                  | Some v -> Some (r.Fault.stall_plan, v, true, !watchdog + 1_000)
+                  | Some v -> Some (r.Fault.stall_plan, v, true, watchdog + 1_000)
                   | None -> None
                 else None
           in
@@ -106,11 +75,10 @@ let () =
                 (Ascy.progress_to_string r.Fault.entry.Registry.progress)
                 r.Fault.crash_probes
           | Some (faults, violation, check, wd) ->
-              let path = Filename.concat !out_dir ("FAULT_" ^ name ^ ".json") in
-              Sct.save_finding ~path ~faults ~model:!model
+              let path = Filename.concat out_dir ("FAULT_" ^ name ^ ".json") in
+              Sct.save_finding ~path ~faults ~model
                 ~oracles:(Sct.chaos_oracles ~watchdog:wd ~check)
                 (Fault.chaos_spec name) ~prefix:[||] ~violation;
-              wrote := true;
               Printf.printf "  %s: %s\n    plan: %s\n    counterexample: %s\n" name violation
                 (Fault.plan_str faults) path;
               (* paranoia: a counterexample that does not reproduce is noise *)
@@ -123,5 +91,16 @@ let () =
               Printf.printf "    replay: %s\n"
                 (if reproduces then "reproduces bit-for-bit" else "DOES NOT REPRODUCE"))
         fs;
-      ignore !wrote;
       exit 1
+
+let watchdog =
+  Cmdliner.Arg.(
+    value & opt int 2_000
+    & info [ "watchdog" ] ~docv:"N"
+        ~doc:"Scheduling decisions without a completed operation before a run counts as wedged.")
+
+let cmd : unit Cmdliner.Cmd.t =
+  Cmdliner.(
+    Cmd.v
+      (Cmd.info "chaos" ~doc:"Chaos sweep: observed vs declared progress guarantees under faults")
+      Term.(const run $ Cli.out $ watchdog $ Cli.model Ascy_mem.Sim.default_model $ Cli.algos ()))

@@ -1,10 +1,10 @@
 (* Policy × domain exploration matrix over the algorithm registry.
 
-   Usage: ascy_explore [-out DIR] [-domains LIST] [-policy LIST]
-                       [-budget N] [-seed N] [-pct-depth N] [-swarm-seeds N]
-                       [-model NAME] [-smoke] [-threshold X] [-soft] [NAME ...]
+   Usage: ascy explore [--out DIR] [--domains LIST] [--policy LIST]
+                       [--budget N] [--seed N] [--pct-depth N] [--swarm-seeds N]
+                       [--model NAME] [--smoke] [--soft] [NAME ...]
 
-   For every algorithm (the full registry, the -smoke subset, or the
+   For every algorithm (the full registry, the --smoke subset, or the
    NAMEs given), run the 3-thread adversarial script Sct_run.fuzz_spec
    under every requested exploration policy (exhaustive DPOR, uniform
    random, PCT, swarm) at every requested domain count, and write one
@@ -21,12 +21,15 @@
      a randomized policy *missing* a violation exhaustive finds is the
      expected probabilistic shortfall and only warns;
    - the exhaustive schedules/sec at the highest domain count vs one
-     domain gives the parallel speedup; below -threshold (default 2.0)
-     it fails the run — soften to a warning with -soft on machines
-     without spare cores (this container reports nproc=1).
+     domain gives the parallel speedup; below [min_speedup] it fails
+     the run — soften to a warning with --soft on machines without
+     spare cores.
 
    Counterexamples are written as EXPLORE_CE_<algo>_<policy>.json,
-   replayable with sct_replay like any other finding. *)
+   replayable with ascy replay like any other finding.
+
+   This is also the front end for the policies the schedule_fuzz example
+   used to take flags for: e.g. --policy pct --pct-depth 5 ll-async. *)
 
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
@@ -44,13 +47,9 @@ let smoke_set =
     "sl-herlihy"; "sl-fraser"; "bst-tk"; "bst-howley";
   ]
 
-let parse_int_list s = List.map int_of_string (String.split_on_char ',' s)
+let min_speedup = 2.0
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 type cell = {
   c_name : string;
@@ -62,68 +61,26 @@ type cell = {
   c_ce : string option;  (** counterexample file path, if a finding was saved *)
 }
 
-let () =
-  let out_dir = ref "." in
-  let domain_counts = ref [ 1 ] in
-  let policy_names = ref [ "exhaustive"; "random"; "pct"; "swarm" ] in
-  let budget = ref 64 in
-  let seed = ref 1 in
-  let pct_depth = ref 3 in
-  let swarm_seeds = ref 4 in
-  let model_name = ref "flat" in
-  let threshold = ref 2.0 in
-  let soft = ref false in
-  let smoke = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest -> out_dir := d; parse rest
-    | "-domains" :: l :: rest -> domain_counts := parse_int_list l; parse rest
-    | "-policy" :: l :: rest -> policy_names := String.split_on_char ',' l; parse rest
-    | "-budget" :: n :: rest -> budget := int_of_string n; parse rest
-    | "-seed" :: n :: rest -> seed := int_of_string n; parse rest
-    | "-pct-depth" :: n :: rest -> pct_depth := int_of_string n; parse rest
-    | "-swarm-seeds" :: n :: rest -> swarm_seeds := int_of_string n; parse rest
-    | "-model" :: m :: rest -> model_name := m; parse rest
-    | "-threshold" :: x :: rest -> threshold := float_of_string x; parse rest
-    | "-soft" :: rest -> soft := true; parse rest
-    | "-smoke" :: rest -> smoke := true; parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline
-          "usage: ascy_explore [-out DIR] [-domains LIST] [-policy LIST] [-budget N]\n\
-          \                    [-seed N] [-pct-depth N] [-swarm-seeds N] [-model NAME]\n\
-          \                    [-smoke] [-threshold X] [-soft] [NAME ...]";
-        exit 0
-    | name :: rest -> names := name :: !names; parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
-  let entries =
-    match (!names, !smoke) with
-    | [], false -> Registry.all
-    | [], true -> List.map Registry.by_name smoke_set
-    | names, _ -> List.map Registry.by_name (List.rev names)
-  in
-  let model = Sim.model_of_name !model_name in
+let run out_dir domain_counts policy_names budget seed pct_depth swarm_seeds model soft entries =
   let policy_of_name = function
-    | "exhaustive" -> Explorer.Exhaustive
-    | "random" -> Explorer.Random { seed = !seed; schedules = !budget }
-    | "pct" -> Explorer.Pct { seed = !seed; depth = !pct_depth; schedules = !budget }
-    | "swarm" ->
+    | `Exhaustive -> Explorer.Exhaustive
+    | `Random -> Explorer.Random { seed; schedules = budget }
+    | `Pct -> Explorer.Pct { seed; depth = pct_depth; schedules = budget }
+    | `Swarm ->
         Explorer.Swarm
           {
-            seeds = List.init !swarm_seeds (fun i -> !seed + i);
-            schedules = max 1 (!budget / !swarm_seeds);
+            seeds = List.init swarm_seeds (fun i -> seed + i);
+            schedules = max 1 (budget / swarm_seeds);
           }
-    | p -> failwith ("unknown policy: " ^ p)
   in
-  let policies = List.map policy_of_name !policy_names in
-  let domain_counts = List.sort_uniq compare !domain_counts in
+  let policies = List.map policy_of_name policy_names in
+  let domain_counts = List.sort_uniq compare domain_counts in
+  let model_name = Sim.model_name_of model in
   Printf.printf
     "exploration matrix: %d algorithms x %d policies x domains {%s}, model %s, budget %d\n\n"
     (List.length entries) (List.length policies)
     (String.concat "," (List.map string_of_int domain_counts))
-    !model_name !budget;
+    model_name budget;
   Printf.printf "%-14s %-10s %7s %9s %9s %8s %10s  %s\n" "name" "policy" "domains"
     "schedules" "steps" "seconds" "scheds/s" "verdict";
   let hard_fails = ref [] in
@@ -153,7 +110,7 @@ let () =
                         Printf.sprintf "EXPLORE_CE_%s_%s.json" e.Registry.name
                           (Explorer.policy_name policy)
                       in
-                      let canonical = Filename.concat !out_dir base in
+                      let canonical = Filename.concat out_dir base in
                       let path =
                         if Sys.file_exists canonical then canonical ^ ".check" else canonical
                       in
@@ -284,9 +241,9 @@ let () =
     J.Obj
       [
         ("schema_version", J.Int 1);
-        ("model", J.String !model_name);
-        ("budget", J.Int !budget);
-        ("seed", J.Int !seed);
+        ("model", J.String model_name);
+        ("budget", J.Int budget);
+        ("seed", J.Int seed);
         ("algorithms", J.Int (List.length entries));
         ("policies", J.List (List.map (fun p -> J.String (Explorer.policy_name p)) policies));
         ("domain_counts", J.List (List.map (fun d -> J.Int d) domain_counts));
@@ -300,25 +257,20 @@ let () =
         ("matrix", J.List rows);
       ]
   in
-  let path = Filename.concat !out_dir "EXPLORE_matrix.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 json);
-      output_char oc '\n');
+  let path = Filename.concat out_dir "EXPLORE_matrix.json" in
+  J.write_file ~path json;
   Printf.printf "\n[matrix -> %s]\n" path;
   List.iter (Printf.printf "warning: %s\n") (List.rev !warnings);
   (match speedup with
   | Some (dmax, s) ->
       Printf.printf "exhaustive schedules/sec at %d domains: %.2fx of 1 domain (threshold %.2fx)\n"
-        dmax s !threshold;
-      if s < !threshold then
-        if !soft then
-          Printf.printf "warning: speedup %.2fx below threshold %.2fx (soft mode)\n" s !threshold
+        dmax s min_speedup;
+      if s < min_speedup then
+        if soft then
+          Printf.printf "warning: speedup %.2fx below threshold %.2fx (soft mode)\n" s min_speedup
         else begin
-          Printf.printf "FAIL: speedup %.2fx below threshold %.2fx\n" s !threshold;
-          hard_fails := Printf.sprintf "speedup %.2fx below threshold %.2fx" s !threshold
+          Printf.printf "FAIL: speedup %.2fx below threshold %.2fx\n" s min_speedup;
+          hard_fails := Printf.sprintf "speedup %.2fx below threshold %.2fx" s min_speedup
                         :: !hard_fails
         end
   | None -> ());
@@ -327,3 +279,55 @@ let () =
   | fails ->
       List.iter (Printf.printf "FAIL: %s\n") fails;
       exit 1
+
+open Cmdliner
+
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let domains =
+  Arg.(
+    value & opt (list int) [ 1 ]
+    & info [ "domains" ] ~docv:"LIST" ~doc:"Comma-separated worker-domain counts.")
+
+let policies =
+  let all = [ ("exhaustive", `Exhaustive); ("random", `Random); ("pct", `Pct); ("swarm", `Swarm) ] in
+  Arg.(
+    value & opt (list (enum all)) (List.map snd all)
+    & info [ "policy" ] ~docv:"LIST" ~doc:"Comma-separated exploration policies.")
+
+let budget =
+  Arg.(value & opt int 64 & info [ "budget" ] ~docv:"N" ~doc:"Schedules per randomized policy.")
+
+let pct_depth = Arg.(value & opt int 3 & info [ "pct-depth" ] ~docv:"N" ~doc:"PCT bug depth.")
+
+let swarm_seeds =
+  Arg.(value & opt positive 4 & info [ "swarm-seeds" ] ~doc:"Swarm member count (budget split).")
+
+let soft =
+  Arg.(value & flag & info [ "soft" ] ~doc:"Report a low parallel speedup as a warning only.")
+
+(* --smoke replaces the default (whole-registry) algorithm set *)
+let smoke =
+  Arg.(
+    value & flag
+    & info [ "smoke" ] ~doc:"Run the CI cross-section instead of the whole registry.")
+
+let cmd =
+  let default =
+    Term.(
+      const (fun smoke ->
+          if smoke then List.map Registry.by_name smoke_set else Registry.all)
+      $ smoke)
+  in
+  Cmd.v
+    (Cmd.info "explore" ~doc:"Policy x domain exploration matrix over the algorithm registry")
+    Term.(
+      const run $ Cli.out $ domains $ policies $ budget $ Cli.seed $ pct_depth $ swarm_seeds
+      $ Cli.model (Sim.model_of_name "flat")
+      $ soft $ Cli.algos ~default ())

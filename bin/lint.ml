@@ -32,7 +32,7 @@
    embedded strings), string literals (escapes and {|quoted|} forms)
    and character literals, so prose never triggers a finding.
 
-   Usage: ascy_lint [-root DIR]   (default: current directory)
+   Usage: ascy lint   (run from the repository root)
    Exits 1 if any finding is printed. *)
 
 let rule_a_whitelist =
@@ -70,11 +70,7 @@ let raw_modules =
 
 let pragma = "ascy-lint: allow-mutable-record"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Blank out comments, strings and char literals (newlines kept, so
    line numbers survive). *)
@@ -324,15 +320,7 @@ let rec walk dir f =
       else if Filename.check_suffix name ".ml" then f path)
     (Sys.readdir dir)
 
-let () =
-  let root = ref "." in
-  (match Array.to_list Sys.argv with
-  | _ :: "-root" :: d :: [] -> root := d
-  | [ _ ] -> ()
-  | _ ->
-      prerr_endline "usage: ascy_lint [-root DIR]";
-      exit 2);
-  Sys.chdir !root;
+let run () =
   let files = ref [] in
   walk "lib" (fun p -> files := p :: !files);
   let files = List.sort compare !files in
@@ -371,3 +359,9 @@ let () =
         fs;
       Printf.printf "ascy_lint: %d finding(s)\n" (List.length fs);
       exit 1
+
+let cmd : unit Cmdliner.Cmd.t =
+  Cmdliner.(
+    Cmd.v
+      (Cmd.info "lint" ~doc:"Effect-layer lint over lib/ (run from the repository root)")
+      Term.(const run $ const ()))

@@ -1,6 +1,6 @@
 (* Flat-vs-MESI conformance check + simulator throughput baseline.
 
-   Usage: ascy_perf [-out DIR] [-threshold X] [-soft] [NAME ...]
+   Usage: ascy perf [--out DIR] [NAME ...]
 
    For every registry algorithm (or just the NAMEs given), run the same
    bounded DPOR exploration — the 3-thread adversarial script
@@ -14,17 +14,18 @@
    The aggregate wall-clock of each sweep gives the repo's sim-steps/sec
    baseline; both, plus MESI's slowdown over flat (mesi seconds / flat
    seconds), are written to DIR/PERF_SIM.json.  Exit 1 on any
-   conformance mismatch, or when that slowdown exceeds the threshold
-   (default 2.0): the sweeps explore the same schedules, so MESI should
-   cost little more than flat, and a larger ratio means a coherence
-   model has grown a per-run or per-access cost.  -soft turns the
-   slowdown gate (never the conformance check) into a warning. *)
+   conformance mismatch, or when that slowdown exceeds
+   [max_slowdown]: the sweeps explore the same schedules, so MESI
+   should cost little more than flat, and a larger ratio means a
+   coherence model has grown a per-run or per-access cost. *)
 
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
 module Registry = Ascylib.Registry
 module Sim = Ascy_mem.Sim
 module J = Ascy_util.Json
+
+let max_slowdown = 2.0
 
 type probe = {
   p_schedules : int;
@@ -62,35 +63,7 @@ let model_json probes seconds =
       ("steps_per_sec", J.Float (if seconds > 0. then float_of_int steps /. seconds else 0.));
     ]
 
-let () =
-  let out_dir = ref "." in
-  let threshold = ref 2.0 in
-  let soft = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        out_dir := d;
-        parse rest
-    | "-threshold" :: x :: rest ->
-        threshold := float_of_string x;
-        parse rest
-    | "-soft" :: rest ->
-        soft := true;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline "usage: ascy_perf [-out DIR] [-threshold X] [-soft] [NAME ...]";
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let entries =
-    match !names with
-    | [] -> Registry.all
-    | names -> List.map Registry.by_name (List.rev names)
-  in
+let run out_dir entries =
   Printf.printf "model-conformance sweep: %d algorithms, bounded DPOR under mesi then flat\n\n"
     (List.length entries);
   Printf.printf "%-14s %9s %9s %9s %9s  %s\n" "name" "m.scheds" "f.scheds" "m.steps" "f.steps"
@@ -124,7 +97,7 @@ let () =
   in
   let slowdown = if flat_s > 0. then mesi_s /. flat_s else 0. in
   Printf.printf "\nmesi: %.2fs   flat: %.2fs   mesi/flat: %.2fx (threshold %.2fx)\n" mesi_s flat_s
-    slowdown !threshold;
+    slowdown max_slowdown;
   let json =
     J.Obj
       [
@@ -144,30 +117,27 @@ let () =
         ( "models",
           J.Obj [ ("mesi", model_json mesi mesi_s); ("flat", model_json flat flat_s) ] );
         ("mesi_slowdown_over_flat", J.Float slowdown);
-        ("max_mesi_slowdown", J.Float !threshold);
+        ("max_mesi_slowdown", J.Float max_slowdown);
         ("conformant", J.Bool (!mismatches = 0));
         ("per_algorithm", J.List rows);
       ]
   in
-  let path = Filename.concat !out_dir "PERF_SIM.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 json);
-      output_char oc '\n');
+  let path = Filename.concat out_dir "PERF_SIM.json" in
+  J.write_file ~path json;
   Printf.printf "[baseline -> %s]\n" path;
   if !mismatches > 0 then begin
     Printf.printf "%d conformance mismatch(es): flat and mesi disagree under controlled scheduling\n"
       !mismatches;
     exit 1
   end;
-  if slowdown > !threshold then
-    if !soft then
-      Printf.printf "warning: mesi/flat %.2fx above threshold %.2fx (soft mode)\n" slowdown
-        !threshold
-    else begin
-      Printf.printf "FAIL: mesi/flat %.2fx above threshold %.2fx\n" slowdown !threshold;
-      exit 1
-    end;
+  if slowdown > max_slowdown then begin
+    Printf.printf "FAIL: mesi/flat %.2fx above threshold %.2fx\n" slowdown max_slowdown;
+    exit 1
+  end;
   print_endline "flat and mesi agree on every schedule space"
+
+let cmd =
+  Cmdliner.(
+    Cmd.v
+      (Cmd.info "perf" ~doc:"Flat-vs-MESI conformance check and simulator throughput baseline")
+      Term.(const run $ Cli.out $ Cli.algos ()))

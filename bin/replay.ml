@@ -1,6 +1,6 @@
 (* Replay a serialized SCT or chaos counterexample bit-for-bit.
 
-   Usage: sct_replay FILE.json [TIMES]
+   Usage: ascy replay FILE.json [TIMES]
 
    Loads a counterexample written by Ascy_harness.Sct_run.save_finding —
    an SCT schedule (Replay schema v1) or a FAULT_*.json chaos finding
@@ -10,23 +10,18 @@
    and coherence model the file records, and checks every replay
    reproduces the identical violation.  Exit status: 0 when the
    violation reproduces deterministically, 1 when it does not (or the
-   file is malformed). *)
+   file is missing or malformed). *)
 
 module Sct = Ascy_harness.Sct_run
 module Sim = Ascy_mem.Sim
 
-let () =
-  let path, times =
-    match Sys.argv with
-    | [| _; path |] -> (path, 2)
-    | [| _; path; n |] -> (path, int_of_string n)
-    | _ ->
-        prerr_endline "usage: sct_replay FILE.json [TIMES]";
-        exit 2
-  in
+let run path times =
   match Sct.replay_file ~times path with
   | exception Ascy_sct.Replay.Bad_schedule msg ->
       Printf.eprintf "error: bad schedule file %s: %s\n" path msg;
+      exit 1
+  | exception Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
       exit 1
   | { Sct.spec; faults; model; expected; results } ->
       if Sim.model_name_of model <> Sim.model_name_of Sim.default_model then
@@ -57,3 +52,12 @@ let () =
         print_endline "verdict: NOT reproducible";
         exit 1
       end
+
+let cmd =
+  Cmdliner.(
+    Cmd.v
+      (Cmd.info "replay" ~doc:"Replay a serialized SCT or chaos counterexample bit-for-bit")
+      Term.(
+        const run
+        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
+        $ Arg.(value & pos 1 int 2 & info [] ~docv:"TIMES" ~doc:"Number of replays.")))

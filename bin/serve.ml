@@ -1,7 +1,7 @@
 (* Sharded async KV service driver.
 
-   Usage: ascy_serve [-out DIR] [-seed N] [-model NAME] [-scale smoke|full]
-                     [-smoke] [-native] [-lin] [-no-check] [-resil] [SCENARIO ...]
+   Usage: ascy serve [--out DIR] [--seed N] [--model NAME] [--scale smoke|full]
+                     [--native] [--lin] [--resil] [SCENARIO ...]
 
    Runs the service scenario matrix (lib/service/scenario.ml) on the
    multicore simulator: client load generators multiplex thousands of
@@ -20,13 +20,13 @@
    virtual clock, so a given seed reproduces the file bit-for-bit
    (modulo the sink's generated_at_unix stamp).
 
-   -native additionally runs each (restart-free) scenario on real OCaml 5
+   --native additionally runs each (restart-free) scenario on real OCaml 5
    domains via Mem_native as a smoke check of the same cluster code.
-   -lin records shard 0's applied operations during the flash-crowd
+   --lin records shard 0's applied operations during the flash-crowd
    scenario and checks the history for linearizability.  Exit 1 on any
    oracle violation or failed spot-check.
 
-   -resil switches to the resilience fault matrix instead: every
+   --resil switches to the resilience fault matrix instead: every
    Service_run.Fault_matrix plan (none / drop / dup / delay /
    slow-shard) crossed with a restart-free scenario and the
    rolling-restart scenario (so message faults compose with F_crash
@@ -57,80 +57,25 @@ let p50_99_999 h =
       Report.f1 (H.percentile h 99.0),
       Report.f1 (H.percentile h 99.9) )
 
-let () =
-  let seed = ref 1 in
-  let model = ref "mesi" in
-  let scale = ref Scenario.Smoke in
-  let native = ref false in
-  let lin = ref false in
-  let check = ref true in
-  let resil = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        Unix.putenv "ASCY_BENCH_OUT" d;
-        parse rest
-    | "-seed" :: n :: rest ->
-        seed := int_of_string n;
-        parse rest
-    | "-model" :: m :: rest ->
-        model := m;
-        parse rest
-    | "-scale" :: s :: rest ->
-        (scale :=
-           match s with
-           | "smoke" -> Scenario.Smoke
-           | "full" -> Scenario.Full
-           | s -> invalid_arg (Printf.sprintf "unknown scale %S (smoke|full)" s));
-        parse rest
-    | "-smoke" :: rest ->
-        scale := Scenario.Smoke;
-        parse rest
-    | "-native" :: rest ->
-        native := true;
-        parse rest
-    | "-lin" :: rest ->
-        lin := true;
-        parse rest
-    | "-no-check" :: rest ->
-        check := false;
-        parse rest
-    | "-resil" :: rest ->
-        resil := true;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline
-          "usage: ascy_serve [-out DIR] [-seed N] [-model NAME] [-scale smoke|full] [-smoke] \
-           [-native] [-lin] [-no-check] [-resil] [SCENARIO ...]";
-        Printf.printf "scenarios: %s\n"
-          (String.concat ", "
-             (List.map (fun sc -> sc.Scenario.name) (Scenario.matrix Scenario.Smoke)));
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+let run out seed model scale native lin resil names =
+  (* the results sink and write_resil_matrix both write under $ASCY_BENCH_OUT;
+     --out is the one way to set it here *)
+  Unix.putenv "ASCY_BENCH_OUT" out;
   let scenarios =
-    match !names with
-    | [] -> Scenario.matrix !scale
-    | names -> List.map (Scenario.by_name !scale) (List.rev names)
+    match names with
+    | [] when resil ->
+        [ Scenario.by_name scale "read-mostly"; Scenario.by_name scale "rolling-restart" ]
+    | [] -> Scenario.matrix scale
+    | names -> List.map (Scenario.by_name scale) names
   in
-  let model_v = Sim.model_of_name !model in
-  if !resil then begin
+  let model_name = Sim.model_name_of model in
+  if resil then begin
     (* Resilience fault matrix: every queue-layer fault plan crossed with
        a restart-free scenario and the rolling-restart one (message
        faults during F_crash fail-overs), resilient layer on, delivery
        oracles armed, each cell executed twice for the inline bit-for-bit
        replay check. *)
     let platform = P.xeon20 in
-    let scenarios =
-      match !names with
-      | [] ->
-          [ Scenario.by_name !scale "read-mostly"; Scenario.by_name !scale "rolling-restart" ]
-      | names -> List.map (Scenario.by_name !scale) (List.rev names)
-    in
     let rcfg = Resilience.default in
     let failed = ref false in
     let entries = ref [] in
@@ -138,7 +83,7 @@ let () =
     Printf.printf "resilience fault matrix: %d scenario(s) x %d fault kind(s), scale %s, seed %d, model %s\n\n"
       (List.length scenarios)
       (List.length Service_run.Fault_matrix.names)
-      (Scenario.scale_name !scale) !seed !model;
+      (Scenario.scale_name scale) seed model_name;
     Results.with_sink "service" (fun () ->
         List.iter
           (fun sc ->
@@ -148,8 +93,7 @@ let () =
                   Service_run.Fault_matrix.plan fk sc ~platform ~decisions
                 in
                 let exec () =
-                  Service_run.run ~seed:!seed ~model:model_v ~platform ~check:!check
-                    ~resil:rcfg ~fault_plan sc
+                  Service_run.run ~seed ~model ~platform ~resil:rcfg ~fault_plan sc
                 in
                 let label = Printf.sprintf "%s-%s-resil" sc.Scenario.name fk in
                 let r = exec () in
@@ -196,8 +140,8 @@ let () =
       (List.rev !rows);
     let path =
       Service_results.write_resil_matrix
-        (Service_results.resil_matrix ~seed:!seed ~model:!model
-           ~scale:(Scenario.scale_name !scale) (List.rev !entries))
+        (Service_results.resil_matrix ~seed ~model:model_name
+           ~scale:(Scenario.scale_name scale) (List.rev !entries))
     in
     Printf.printf "wrote %s\n" path;
     if !failed then begin
@@ -209,17 +153,17 @@ let () =
   end;
   let failed = ref false in
   Printf.printf "sharded KV service: %d scenario(s), scale %s, seed %d, model %s%s\n\n"
-    (List.length scenarios) (Scenario.scale_name !scale) !seed !model
-    (if !native then " (+native smoke)" else "");
+    (List.length scenarios) (Scenario.scale_name scale) seed model_name
+    (if native then " (+native smoke)" else "");
   Results.with_sink "service" (fun () ->
       let rows =
         List.map
           (fun sc ->
-            let spotcheck = !lin && sc.Scenario.name = "flash-crowd" in
-            let r = Service_run.run ~seed:!seed ~model:model_v ~check:!check ~spotcheck sc in
+            let spotcheck = lin && sc.Scenario.name = "flash-crowd" in
+            let r = Service_run.run ~seed ~model ~spotcheck sc in
             Results.record
               (Service_results.of_run
-                 ~label:(Printf.sprintf "%s-%s" sc.Scenario.name (Scenario.scale_name !scale))
+                 ~label:(Printf.sprintf "%s-%s" sc.Scenario.name (Scenario.scale_name scale))
                  r);
             let verdict =
               match (r.Service_run.violation, r.Service_run.linearizable) with
@@ -230,7 +174,7 @@ let () =
                   failed := true;
                   "NOT-LINEARIZABLE"
               | None, Some true -> "ok+lin"
-              | None, None -> if r.Service_run.checked then "ok" else "unchecked"
+              | None, None -> "ok"
             in
             let p50, p99, p999 = p50_99_999 r.Service_run.sojourn in
             [
@@ -253,18 +197,18 @@ let () =
           "verdict";
         ]
         rows;
-      if !native then begin
+      if native then begin
         let rows =
           List.filter_map
             (fun sc ->
               if sc.Scenario.restarts then None
               else begin
-                let r = Service_native.run ~seed:!seed sc in
+                let r = Service_native.run ~seed sc in
                 Results.record
                   (Service_results.of_native_run
                      ~label:
                        (Printf.sprintf "%s-%s-native" sc.Scenario.name
-                          (Scenario.scale_name !scale))
+                          (Scenario.scale_name scale))
                      r);
                 let verdict =
                   match r.Service_native.violation with
@@ -295,3 +239,34 @@ let () =
     exit 1
   end;
   print_endline "all service scenarios clean"
+
+open Cmdliner
+
+let scale =
+  Arg.(
+    value
+    & opt (enum [ ("smoke", Scenario.Smoke); ("full", Scenario.Full) ]) Scenario.Smoke
+    & info [ "scale" ] ~doc:"Scenario scale: smoke or full.")
+
+let native =
+  Arg.(value & flag & info [ "native" ] ~doc:"Also run each restart-free scenario on real domains.")
+
+let lin =
+  Arg.(value & flag & info [ "lin" ] ~doc:"Check shard 0's flash-crowd history for linearizability.")
+
+let resil =
+  Arg.(value & flag & info [ "resil" ] ~doc:"Run the resilience fault matrix instead.")
+
+let scenarios =
+  let names = List.map (fun sc -> sc.Scenario.name) (Scenario.matrix Scenario.Smoke) in
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+    & info [] ~docv:"SCENARIO" ~doc:"Scenarios to run (default: the whole matrix).")
+
+let cmd =
+  Cmd.v
+    (Cmd.info "serve" ~doc:"Sharded async KV service driver")
+    Term.(
+      const run $ Cli.out $ Cli.seed $ Cli.model Sim.default_model $ scale $ native $ lin $ resil
+      $ scenarios)

@@ -21,7 +21,7 @@
    The wedge is then serialized as a FAULT_*.json counterexample
    (Replay schema v2: schedule prefix + fault plan in the same decision
    coordinates) and replayed bit-for-bit through Sct_run.replay_file,
-   the one replay path `bin/sct_replay` and `bin/ascy_chaos` use.
+   the one replay path `ascy replay` and `ascy chaos` use.
 
    Run with: dune exec examples/fault_demo.exe *)
 

@@ -17,12 +17,11 @@
    bounds exhaustively.
 
    Run with: dune exec examples/schedule_fuzz.exe
-   Optionally pick an exploration policy and worker-domain count:
-     schedule_fuzz.exe [-policy exhaustive|random|pct|swarm]
-                       [-domains N] [-budget N] [-seed N] [-pct-depth N]
-   Randomized policies sample the schedule space instead of enumerating
-   it (their reports are always incomplete); every policy's findings
-   flow through the same minimize/serialize/replay pipeline. *)
+   The randomized policies (random, PCT, swarm) and parallel worker
+   domains run the same script through the CLI, e.g.
+     dune exec bin/ascy.exe -- explore --policy pct --pct-depth 5 ll-async
+   Their findings flow through the same minimize/serialize/replay
+   pipeline. *)
 
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
@@ -37,53 +36,13 @@ let bounds = Explorer.default_bounds
 
 let file = "SCT_counterexample_ll-async.json"
 
-let policy = ref Explorer.Exhaustive
-let domains = ref 1
-
-let () =
-  let budget = ref 64 in
-  let seed = ref 1 in
-  let pct_depth = ref 3 in
-  let pname = ref "exhaustive" in
-  let rec parse = function
-    | [] -> ()
-    | "-policy" :: p :: rest -> pname := p; parse rest
-    | "-domains" :: n :: rest -> domains := int_of_string n; parse rest
-    | "-budget" :: n :: rest -> budget := int_of_string n; parse rest
-    | "-seed" :: n :: rest -> seed := int_of_string n; parse rest
-    | "-pct-depth" :: n :: rest -> pct_depth := int_of_string n; parse rest
-    | a :: _ -> failwith ("unknown argument: " ^ a)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  policy :=
-    match !pname with
-    | "exhaustive" -> Explorer.Exhaustive
-    | "random" -> Explorer.Random { seed = !seed; schedules = !budget }
-    | "pct" -> Explorer.Pct { seed = !seed; depth = !pct_depth; schedules = !budget }
-    | "swarm" ->
-        Explorer.Swarm
-          { seeds = List.init 4 (fun i -> !seed + i); schedules = max 1 (!budget / 4) }
-    | p -> failwith ("unknown policy: " ^ p)
-
 let hunt name =
-  (match !policy with
-  | Explorer.Exhaustive ->
-      Printf.printf "%-12s exploring (DPOR, <=%d preemptions) ...\n%!" name
-        (match bounds.Explorer.preemptions with Some p -> p | None -> max_int)
-  | p ->
-      Printf.printf "%-12s exploring (policy %s, %d domain(s)) ...\n%!" name
-        (Explorer.policy_name p) !domains);
-  let finding, report =
-    Sct.explore ~mode:Explorer.Dpor ~bounds ~races:true ~policy:!policy ~domains:!domains
-      (spec name)
-  in
+  Printf.printf "%-12s exploring (DPOR, <=%d preemptions) ...\n%!" name
+    (match bounds.Explorer.preemptions with Some p -> p | None -> max_int);
+  let finding, report = Sct.explore ~mode:Explorer.Dpor ~bounds ~races:true (spec name) in
   Printf.printf "%-12s %d schedules, %d decisions%s\n" name report.Explorer.schedules
     report.Explorer.steps
-    (if report.Explorer.complete then " (schedule space exhausted)"
-     else
-       match !policy with
-       | Explorer.Exhaustive -> ""  (* historical output, byte-stable *)
-       | _ -> " (incomplete: sampled, not exhausted)");
+    (if report.Explorer.complete then " (schedule space exhausted)" else "");
   (finding, report)
 
 let () =

@@ -28,7 +28,7 @@
     lock-free ones) and observe whether any placement wedges the
     survivors — the {e observed} progress class, checked against the
     declared Table-1 guarantee ({!Ascylib.Registry.entry.progress}) by
-    [bin/ascy_chaos] and CI. *)
+    [ascy chaos] and CI. *)
 
 module Sim = Ascy_mem.Sim
 module Explorer = Ascy_sct.Explorer

@@ -27,7 +27,7 @@
     - {e release} (phase 2): each acquired cell is CASed from the
       descriptor to the desired (success) or expected (failure) value.
 
-    All descriptor internals carry the [kdx_] prefix: [ascy_lint]'s
+    All descriptor internals carry the [kdx_] prefix: [ascy lint]'s
     rule C confines that prefix to the two backend files, so CSDS code
     can only reach k-CAS through [Memory.S.kcas]. *)
 

@@ -465,7 +465,7 @@ module Mem : Memory.S with type line = int = struct
     old
 
   (* Multi-word CAS.  The descriptor internals carry the [kdx_] prefix
-     ([ascy_lint] rule C confines it to the backend files).  One
+     ([ascy lint] rule C confines it to the backend files).  One
      [Kcas_eff] effect is the single scheduling point: the compare, the
      writes and the observer notifications all happen atomically after
      the scheduler resumes us, exactly like the post-effect body of

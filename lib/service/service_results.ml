@@ -33,7 +33,7 @@
     — and only those, so legacy records stay byte-identical.
 
     This module also owns RESIL_matrix.json (schema version 1), the
-    fault-matrix artifact of [ascy_serve -resil]: one record per
+    fault-matrix artifact of [ascy serve --resil]: one record per
     (scenario x fault kind) cell with the composed fault plan, the
     declared vs observed delivery semantics, the oracle verdict, the
     resilience counters, and the inline bit-for-bit replay verdict:
@@ -193,13 +193,6 @@ let resil_matrix ~seed ~model ~scale entries =
 (** Write RESIL_matrix.json next to the BENCH files (the
     [ASCY_BENCH_OUT] directory). *)
 let write_resil_matrix j =
-  let dir = Results.out_dir () in
-  (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
-  let path = Filename.concat dir "RESIL_matrix.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 j);
-      output_char oc '\n');
+  let path = Filename.concat (Results.out_dir ()) "RESIL_matrix.json" in
+  J.write_file ~path j;
   path

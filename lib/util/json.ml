@@ -86,6 +86,21 @@ let to_string ?indent v =
   write ?indent b v;
   Buffer.contents b
 
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+(** [write_file ~path v] writes [v] with a one-space indent and a
+    trailing newline to [path], creating missing parent directories —
+    the one on-disk form of every JSON artifact the repo produces. *)
+let write_file ~path v =
+  mkdir_p (Filename.dirname path);
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string ~indent:1 v);
+      output_char oc '\n')
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

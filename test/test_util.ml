@@ -180,6 +180,19 @@ let test_json_parse_errors () =
       | _ -> Alcotest.failf "accepted malformed input: %s" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}" ]
 
+(* Artifact writers hand write_file paths under directories that may not
+   exist yet; it must create them and emit exactly the pretty form. *)
+let test_json_write_file_nested () =
+  let v = Json.Obj [ ("k", Json.List [ Json.Int 1; Json.Float 2.5 ]); ("s", Json.String "x") ] in
+  let root = Filename.temp_dir "ascy_json" "" in
+  let path = Filename.concat (Filename.concat (Filename.concat root "a") "b") "out.json" in
+  Json.write_file ~path v;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "bytes" (Json.to_string ~indent:1 v ^ "\n") bytes;
+  Sys.remove path;
+  List.iter Sys.rmdir
+    [ Filename.dirname path; Filename.dirname (Filename.dirname path); root ]
+
 let prop_histogram_bounds =
   QCheck.Test.make ~count:100 ~name:"percentiles are within sample bounds"
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (float_bound_exclusive 1000.0))
@@ -211,5 +224,6 @@ let suite =
     Alcotest.test_case "histogram merge (incl. self/empty)" `Quick test_histogram_merge;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
+    Alcotest.test_case "json write_file into missing dirs" `Quick test_json_write_file_nested;
     QCheck_alcotest.to_alcotest prop_histogram_bounds;
   ]
