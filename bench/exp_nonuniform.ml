@@ -10,9 +10,9 @@
    Check: the ASCY ordering (async >= clht >= pugh >= tbb/coupling) is
    preserved. *)
 
-open Ascylib
 module W = Ascy_harness.Workload
-module R = Ascy_harness.Sim_run
+module Sct = Ascy_harness.Sct_run
+module X = Ascy_util.Xorshift
 module Sim = Ascy_mem.Sim
 module P = Ascy_platform.Platform
 module Rep = Ascy_harness.Report
@@ -21,69 +21,45 @@ module J = Ascy_util.Json
 
 let algos = [ "ht-async"; "ht-clht-lb"; "ht-pugh"; "ht-java"; "ht-tbb" ]
 
-(* A custom driver: Sim_run covers uniform workloads; spikes and skew
-   need their own loop. *)
-let run_custom name ~nthreads ~initial ~body_gen =
-  let entry = Registry.by_name name in
-  let module A = (val entry.Registry.maker) in
-  let module M = A (Sim.Mem) in
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads (fun sim ->
-      let t = M.create ~hint:initial () in
-      let rng0 = Ascy_util.Xorshift.create 17 in
-      let filled = ref 0 in
-      while !filled < initial do
-        if M.insert t (1 + Ascy_util.Xorshift.below rng0 (2 * initial)) 0 then incr filled
-      done;
-      Sim.warm sim;
-      let ops = Array.make nthreads 0 in
-      let bodies =
-        Array.init nthreads (fun tid () ->
-            ops.(tid) <-
-              body_gen tid ~search:(fun k -> ignore (M.search t k))
-                ~insert:(fun k -> ignore (M.insert t k tid))
-                ~remove:(fun k -> ignore (M.remove t k))
-                ~op_done:(fun () -> M.op_done t))
-      in
-      let makespan = Sim.run sim bodies in
-      let stats = Sim.stats sim ~makespan in
-      let total = Array.fold_left ( + ) 0 ops in
-      (float_of_int total /. stats.Sim.seconds /. 1e6, M.size t))
+(* One free-running execution of [script tid] per thread over a
+   structure prefilled with [initial] uniform keys: throughput (Mops/s)
+   and final size. *)
+let run_custom name ~nthreads ~initial ~script =
+  let spec = Sct.mk_spec ~name ~initial:[] ~script:(Array.init nthreads script) () in
+  let rng0 = X.create 17 in
+  let out =
+    Sct.execute ~model:Bench_config.model ~seed:3
+      ~prefill:(initial, Seq.forever (fun () -> 1 + X.below rng0 (2 * initial)))
+      ~size:true ~oracles:Sct.no_oracles (Sct.maker_of spec) spec
+  in
+  Option.iter failwith out.Sct.violation;
+  let stats = Sim.stats out.Sct.sim ~makespan:out.Sct.makespan in
+  let total = Array.fold_left (fun n ops -> n + Array.length ops) 0 spec.Sct.script in
+  (float_of_int total /. stats.Sim.seconds /. 1e6, Option.get out.Sct.size)
 
-let skewed tid ~search ~insert ~remove ~op_done =
+let skewed tid =
   let w = W.make ~initial:4096 ~update_pct:20 () in
   let skew = { W.hot_keys = 64; hot_pct = 80 } in
-  let rng = Ascy_util.Xorshift.create (tid + 41) in
-  let n = Bench_config.ops_per_thread * 2 in
-  for _ = 1 to n do
-    let k = W.pick_key_skewed w skew rng in
-    (match W.pick_op w rng with
-    | W.Search -> search k
-    | W.Insert -> insert k
-    | W.Remove -> remove k);
-    op_done ()
-  done;
-  n
+  let rng = X.create (tid + 41) in
+  Array.init (Bench_config.ops_per_thread * 2) (fun _ ->
+      let k = W.pick_key_skewed w skew rng in
+      (W.pick_op w rng, k))
 
-let growth tid ~search ~insert ~remove:_ ~op_done =
+let growth tid =
   (* 60% inserts over an ever-widening range: size grows continuously *)
-  let rng = Ascy_util.Xorshift.create (tid + 43) in
-  let n = Bench_config.ops_per_thread * 2 in
-  for i = 1 to n do
-    let range = 8192 + (i * 16) in
-    let k = 1 + Ascy_util.Xorshift.below rng range in
-    if Ascy_util.Xorshift.below rng 100 < 60 then insert k else search k;
-    op_done ()
-  done;
-  n
+  let rng = X.create (tid + 43) in
+  Array.init (Bench_config.ops_per_thread * 2) (fun i ->
+      let k = 1 + X.below rng (8192 + ((i + 1) * 16)) in
+      ((if X.below rng 100 < 60 then W.Insert else W.Search), k))
 
 let run () =
   Bench_config.section "Non-uniform workloads (4's remark): skew and growth";
   let rows =
     List.map
       (fun name ->
-        let skew_tput, _ = run_custom name ~nthreads:20 ~initial:4096 ~body_gen:skewed in
-        let grow_tput, final = run_custom name ~nthreads:20 ~initial:4096 ~body_gen:growth in
-        (* custom drivers bypass Sim_run, so serialize a reduced record *)
+        let skew_tput, _ = run_custom name ~nthreads:20 ~initial:4096 ~script:skewed in
+        let grow_tput, final = run_custom name ~nthreads:20 ~initial:4096 ~script:growth in
+        (* custom scripts have no Sim_run record, so serialize a reduced one *)
         List.iter
           (fun (label, tput, size) ->
             Res.record

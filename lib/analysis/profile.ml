@@ -65,7 +65,7 @@ let weighted c = c.writes + (2 * c.rmw_ok)
 
 type op_profile = {
   p_tid : int;
-  p_op : int;  (** harness op code: 0 search / 1 insert / 2 remove *)
+  p_op : int;  (** the op's bracket code ([Ascy_harness.Workload.op_code]; 0 = search) *)
   mutable p_ok : bool;
   p_parse : counts;
   p_modify : counts;
@@ -178,16 +178,4 @@ let counts_json c =
       ("cleanups", J.Int c.cleanups);
       ("helps", J.Int c.helps);
       ("cas_fails", J.Int c.cas_fails);
-    ]
-
-let op_name = function 0 -> "search" | 1 -> "insert" | 2 -> "remove" | c -> string_of_int c
-
-let op_json p =
-  J.Obj
-    [
-      ("tid", J.Int p.p_tid);
-      ("op", J.String (op_name p.p_op));
-      ("ok", J.Bool p.p_ok);
-      ("parse", counts_json p.p_parse);
-      ("modify", counts_json p.p_modify);
     ]

@@ -32,8 +32,8 @@
     this analyzer measures. *)
 
 module Sim = Ascy_mem.Sim
-module P = Ascy_platform.Platform
 module J = Ascy_util.Json
+module Profile = Ascy_analysis.Profile
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 
@@ -76,9 +76,11 @@ let hint_for (entry : Registry.entry) cfg =
   | "ht-urcu" | "ht-urcu-ssmem" -> 8 * cfg.initial
   | _ -> cfg.initial
 
-(** Profile one deterministic run of [entry] under [cfg]; returns every
-    operation's phase-split access profile.  [model] selects the
-    coherence cost model.  The profiles only count {e what} each
+(** Profile one deterministic run of [entry] under [cfg] — one
+    free-running {!Sct_run.execute} with a {!Profile} collector as its
+    observer — and return every operation's phase-split access profile,
+    oldest first.  [model] selects the coherence cost model.  The
+    profiles only count {e what} each
     operation does (stores, CAS outcomes, waits, restarts), never how
     long it takes — but the free-running schedule is latency-driven, so
     a different model can interleave the contended run differently and
@@ -86,46 +88,37 @@ let hint_for (entry : Registry.entry) cfg =
     are expected (and CI-checked) to be model-invariant; the raw counts
     are not. *)
 let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
-  let module A = (val entry.Registry.maker : Ascy_core.Set_intf.MAKER) in
-  let module M = A (Sim.Mem) in
+  let module X = Ascy_util.Xorshift in
+  (* the analyzer's own op draw (one value in [0, 100)), which
+     ASCY_CHECK.json is pinned to *)
+  let script =
+    Array.init cfg.nthreads (fun tid ->
+        let rng = X.create ((cfg.seed * 7919) + (tid * 104729) + 13) in
+        Array.init cfg.ops_per_thread (fun _ ->
+            let k = 1 + X.below rng cfg.key_range in
+            let r = X.below rng 100 in
+            ((if r >= cfg.update_pct then Workload.Search
+              else if r land 1 = 0 then Workload.Insert
+              else Workload.Remove), k)))
+  in
+  let rng0 = X.create ((cfg.seed * 31) + 7) in
+  let col = Profile.create ~nthreads:cfg.nthreads in
   let saved = !Ascy_core.Config.ssmem_threshold in
   (* keep epoch-GC passes (batched, not per-op) out of the op profiles *)
   Ascy_core.Config.ssmem_threshold := 1_000_000;
   Fun.protect
     ~finally:(fun () -> Ascy_core.Config.ssmem_threshold := saved)
     (fun () ->
-      Sim.with_sim ~seed:cfg.seed ~platform:P.xeon20 ~model ~nthreads:cfg.nthreads (fun sim ->
-          let t = M.create ~hint:(hint_for entry cfg) () in
-          let rng0 = Ascy_util.Xorshift.create ((cfg.seed * 31) + 7) in
-          let filled = ref 0 in
-          while !filled < cfg.initial do
-            let k = 1 + Ascy_util.Xorshift.below rng0 cfg.key_range in
-            if M.insert t k 0 then incr filled
-          done;
-          Sim.warm sim;
-          let col = Profile.create ~nthreads:cfg.nthreads in
-          Sim.set_observer sim (Some (Profile.observer col));
-          let body tid () =
-            let rng = Ascy_util.Xorshift.create ((cfg.seed * 7919) + (tid * 104729) + 13) in
-            for _ = 1 to cfg.ops_per_thread do
-              let k = 1 + Ascy_util.Xorshift.below rng cfg.key_range in
-              let r = Ascy_util.Xorshift.below rng 100 in
-              let op = if r >= cfg.update_pct then 0 else if r land 1 = 0 then 1 else 2 in
-              Sim.Trace.op_start op;
-              let ok =
-                match op with
-                | 0 -> M.search t k <> None
-                | 1 -> M.insert t k tid
-                | _ -> M.remove t k
-              in
-              Profile.set_outcome col ~tid ~ok;
-              Sim.Trace.op_end op;
-              M.op_done t
-            done
-          in
-          ignore (Sim.run sim (Array.init cfg.nthreads body));
-          Sim.set_observer sim None;
-          Profile.ops col))
+      let out =
+        Sct_run.execute ~model ~seed:cfg.seed ~observer:(Profile.observer col)
+          ~prefill:(cfg.initial, Seq.forever (fun () -> 1 + X.below rng0 cfg.key_range))
+          ~hint:(hint_for entry cfg)
+          ~on_op:(fun ~tid _ ~key:_ ~ok ~t0:_ ~t1:_ -> Profile.set_outcome col ~tid ~ok)
+          ~oracles:Sct_run.no_oracles entry.Registry.maker
+          (Sct_run.mk_spec ~name:entry.Registry.name ~initial:[] ~script ())
+      in
+      Option.iter failwith out.Sct_run.violation;
+      Profile.ops col)
 
 (* ------------------------------------------------------------------ *)
 (* Observed-compliance rules                                           *)
@@ -326,6 +319,16 @@ let measured_json m =
       ("store_budget", J.Float m.m_budget);
     ]
 
+let op_json (p : Profile.op_profile) =
+  J.Obj
+    [
+      ("tid", J.Int p.Profile.p_tid);
+      ("op", J.String (Workload.op_name p.Profile.p_op));
+      ("ok", J.Bool p.Profile.p_ok);
+      ("parse", Profile.counts_json p.Profile.p_parse);
+      ("modify", Profile.counts_json p.Profile.p_modify);
+    ]
+
 let report_json r =
   J.Obj
     [
@@ -339,7 +342,7 @@ let report_json r =
       ( "witnesses",
         J.List
           (List.map
-             (fun (tag, p) -> J.Obj [ ("rule", J.String tag); ("op", Profile.op_json p) ])
+             (fun (tag, p) -> J.Obj [ ("rule", J.String tag); ("op", op_json p) ])
              r.witnesses) );
     ]
 

@@ -1,16 +1,14 @@
 (** The unified simulator-session configuration behind every harness
     entry point.
 
-    {!Sim_run} (free-running measurement), {!Sct_run} (systematic
-    schedule exploration) and {!Fault_run} (chaos/fault injection) used
-    to each assemble their own ad-hoc combination of seed, platform,
-    scheduler, fault plan, observers and race detector before calling
-    {!Ascy_mem.Sim} — three slightly different copies of the same
-    wiring.  [Engine] is that wiring, once: a {!config} record names
-    every knob of a simulated execution, {!with_session} turns it into
-    an installed simulation with the requested instrumentation attached,
-    and {!run} executes thread bodies under the configured scheduler and
-    fault plan.
+    A {!config} record names every knob of a simulated execution — seed,
+    platform, scheduler, fault plan, observers, race detector —
+    {!with_session} turns it into an installed simulation with the
+    requested instrumentation attached, and {!run} executes thread
+    bodies under the configured scheduler and fault plan.  Set
+    workloads reach it through the one executor {!Sct_run.execute}
+    (measurement, profiling, exploration and chaos alike); the service
+    layer drives its own cluster bodies through it directly.
 
     The config is also where the pluggable coherence model surfaces in
     the harness: [model] selects {!Ascy_mem.Models.mesi} (default,
@@ -37,7 +35,7 @@ type config = {
 }
 
 (** The baseline configuration: free-running, MESI, seed 1, no faults,
-    no instrumentation — what {!Sim_run} historically did. *)
+    no instrumentation. *)
 let default ~platform ~nthreads =
   {
     platform;

@@ -1,14 +1,13 @@
 (** Scripted set workloads on the simulator: one executor
     ({!execute}) that builds, prefills, runs one operation script per
-    thread under a given scheduler and fault plan, and applies the
-    oracles its caller arms; systematic concurrency testing on top of it
-    (schedule-by-schedule exploration with [Ascy_sct.Explorer], failing
-    schedules minimized and serialized for bit-for-bit replay).  Chaos
-    testing ({!Fault_run}) is the same executor with other oracles armed.
-
-    This is the SCT sibling of {!Sim_run}: where [Sim_run] measures one
-    free-running execution, [Sct_run] enumerates bounded interleavings of
-    a small deterministic workload and checks every one of them.
+    thread — free-running or under a given scheduler and fault plan —
+    and applies the oracles its caller arms.  Every simulated set
+    workload runs through it: measurement ({!Sim_run}) and ASCY
+    profiling ({!Ascy_check}) free-running; systematic concurrency
+    testing on top of it (schedule-by-schedule exploration with
+    [Ascy_sct.Explorer], failing schedules minimized and serialized for
+    bit-for-bit replay); chaos testing ({!Fault_run}) with other oracles
+    armed.
 
     Oracles, armed per run through an {!oracles} record and applied in
     this order:
@@ -74,9 +73,9 @@ let duel_spec name =
     ~script:[| [| (Insert, 1); (Remove, 2) |]; [| (Insert, 1); (Insert, 2) |] |]
     ()
 
-(** Derive a per-thread script from a {!Workload} the same way
-    {!Sim_run} draws operations — per-thread RNGs, schedule-independent
-    — so fuzz-style workloads can be explored systematically. *)
+(** Derive a per-thread script from a {!Workload}: per-thread RNGs,
+    schedule-independent.  {!Sim_run} measures exactly this script, and
+    fuzz-style workloads can be explored systematically with it. *)
 let script_of_workload ~(workload : Workload.t) ~nthreads ~ops_per_thread ~seed =
   Array.init nthreads (fun tid ->
       let rng = Ascy_util.Xorshift.create ((seed * 7919) + (tid * 104729) + 13) in
@@ -84,13 +83,6 @@ let script_of_workload ~(workload : Workload.t) ~nthreads ~ops_per_thread ~seed 
           let k = Workload.pick_key workload rng in
           let op = Workload.pick_op workload rng in
           (op, k)))
-
-(* Keys a spec can ever touch: initial ∪ scripted. *)
-let keys_of spec =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun k -> Hashtbl.replace tbl k ()) spec.initial;
-  Array.iter (Array.iter (fun (_, k) -> Hashtbl.replace tbl k ())) spec.script;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
 
 (* ------------------------------------------------------------------ *)
 (* The scripted executor                                               *)
@@ -124,6 +116,11 @@ let sct_oracles =
 let chaos_oracles ~watchdog ~check =
   { watchdog = Some watchdog; max_steps = None; races = false; check; linearizable = false }
 
+(** Measurement and profiling arm nothing: only a crash escaping a
+    simulated thread rejects the run. *)
+let no_oracles =
+  { watchdog = None; max_steps = None; races = false; check = false; linearizable = false }
+
 type verdict =
   | Completed  (** the run was not cut short *)
   | Wedged of { at : int; spun : (int * string) list }
@@ -138,6 +135,10 @@ type outcome = {
           consecutive op completions)], worst first *)
   crashed : int list;  (** tids crash-stopped by the fault plan *)
   done_ops : int array;  (** operations completed, per thread *)
+  initial : int list;  (** the keys the prefill inserted, in order *)
+  sim : Sim.t;  (** the finished simulation, for {!Ascy_mem.Sim.stats} *)
+  makespan : int;  (** simulated cycles; [0] if the run was cut short *)
+  size : int option;  (** the structure's final size, when [~size:true] *)
 }
 
 let action_str = function
@@ -156,23 +157,37 @@ exception Wedged_exn of { at : int; spun : (int * string) list }
 
 let maker_of spec = (Ascylib.Registry.by_name spec.name).Ascylib.Registry.maker
 
-(** [execute ?faults ?model ~oracles maker spec ~sched] builds and
-    prefills the spec's structure, runs every thread's script once under
-    [sched] with [faults] injected, and applies the armed [oracles].
-    Deterministic: identical inputs give the identical outcome,
-    including description strings.
+(** [execute ?sched ?faults ?model ~oracles maker spec] builds the
+    spec's structure, prefills it, runs every thread's script once and
+    applies the armed [oracles].  Deterministic: identical inputs give
+    the identical outcome, including description strings.
+
+    Without [sched] the run is free-running (smallest clock first);
+    with one, every decision goes through it.  The prefill inserts the
+    keys of [prefill = (n, keys)] until [n] inserts succeed or [keys]
+    ends (default: [spec.initial]), outside simulated time, into a
+    structure created with [hint] (default [max 8 n]).  [seed],
+    [trace_capacity] and an extra [observer] go to the {!Engine.config};
+    every op is bracketed with {!Ascy_mem.Sim.Trace.op_start}/[op_end].
+    [on_op ~tid op ~key ~ok ~t0 ~t1] gets each op's result and its start
+    and end cycle ({!Ascy_mem.Sim.now}) on the simulated thread, before
+    the closing bracket, so an observer still sees the op open (e.g.
+    {!Ascy_analysis.Profile.set_outcome}).  [size] reads the final size
+    back after a run that was not cut short.
 
     One decision counter, bumped at every scheduling decision, is the
-    history's logical clock, the watchdog's progress mark and the step
-    budget.  [Sim.now] would not do for the clock: it is the executing
-    thread's local clock, which lags arbitrarily for a descheduled
-    thread under a controlled schedule; a thread reads the counter only
-    while scheduled, so op A's response strictly precedes op B's
-    invocation iff A's last step ran before B's first.  [model] selects
-    the coherence cost model: under a controlled scheduler the program's
-    behavior is latency-independent, so verdicts are model-invariant. *)
-let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
-    (module A : Ascy_core.Set_intf.MAKER) spec ~sched =
+    watchdog's progress mark and the step budget (both need [sched]).
+    The history's logical clock is the simulator's decision count.
+    [Sim.now] would not do for it: it is the executing thread's local
+    clock, which lags arbitrarily for a descheduled thread under a
+    controlled schedule; a thread reads the count only while scheduled,
+    so op A's response strictly precedes op B's invocation iff A's last
+    step ran before B's first.  [model] selects the coherence cost
+    model: under a controlled scheduler the program's behavior is
+    latency-independent, so verdicts are model-invariant. *)
+let execute ?sched ?(faults = []) ?(model = Sim.default_model) ?(seed = 1) ?(trace_capacity = 0)
+    ?observer ?prefill ?hint ?on_op ?(size = false) ~oracles (module A : Ascy_core.Set_intf.MAKER)
+    spec =
   let module M = A (Sim.Mem) in
   let crash_tids =
     List.filter_map
@@ -184,7 +199,7 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
   let progress = oracles.watchdog <> None in
   let decisions = ref 0 in
   let last_progress = ref 0 in
-  let sched runnable =
+  let watched sched runnable =
     incr decisions;
     if !decisions - !last_progress > window then begin
       let spun = ref [] in
@@ -201,20 +216,36 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
   let cfg =
     {
       (Engine.default ~platform:spec.platform ~nthreads:spec.nthreads) with
-      scheduler = Some sched;
+      seed;
+      trace_capacity;
+      scheduler = Option.map watched sched;
       faults;
       races = oracles.races;
+      observer;
       model;
     }
   in
   Engine.with_session cfg (fun session ->
       let sim = session.Engine.sim in
-      (* build + prefill outside simulated time, like Sim_run *)
-      let t = M.create ~hint:(max 8 (List.length spec.initial)) () in
-      List.iter (fun k -> ignore (M.insert t k (-1))) spec.initial;
+      (* build + prefill outside simulated time *)
+      let n, keys =
+        match prefill with
+        | Some p -> p
+        | None -> (List.length spec.initial, List.to_seq spec.initial)
+      in
+      let t = M.create ~hint:(Option.value hint ~default:(max 8 n)) () in
+      let rec fill filled keys acc =
+        if filled >= n then acc
+        else
+          match keys () with
+          | Seq.Nil -> acc
+          | Seq.Cons (k, rest) ->
+              if M.insert t k (-1) then fill (filled + 1) rest (k :: acc) else fill filled rest acc
+      in
+      let initial = List.rev (fill 0 keys []) in
       Sim.warm sim;
       let h = History.create () in
-      List.iter (History.add_initial h) spec.initial;
+      List.iter (History.add_initial h) initial;
       let net = Hashtbl.create 32 in
       let bump k d = Hashtbl.replace net k (d + try Hashtbl.find net k with Not_found -> 0) in
       let done_ops = Array.make spec.nthreads 0 in
@@ -223,21 +254,22 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
       let body tid () =
         Array.iter
           (fun (op, k) ->
-            let inv = !decisions in
+            let code = Workload.op_code op in
+            Sim.Trace.op_start code;
+            let inv = Sim.decisions sim in
+            let t0 = match on_op with Some _ -> Sim.now () | None -> 0 in
             let ok =
               match op with
               | Search -> M.search t k <> None
-              | Insert ->
-                  let r = M.insert t k tid in
-                  if r then bump k 1;
-                  r
-              | Remove ->
-                  let r = M.remove t k in
-                  if r then bump k (-1);
-                  r
+              | Insert -> M.insert t k tid
+              | Remove -> M.remove t k
             in
+            if ok && oracles.check then
+              (match op with Insert -> bump k 1 | Remove -> bump k (-1) | Search -> ());
+            Option.iter (fun f -> f ~tid op ~key:k ~ok ~t0 ~t1:(Sim.now ())) on_op;
+            Sim.Trace.op_end code;
             if oracles.linearizable then
-              History.record h ~tid ~kind:op ~key:k ~result:ok ~inv ~res:!decisions;
+              History.record h ~tid ~kind:op ~key:k ~result:ok ~inv ~res:(Sim.decisions sim);
             M.op_done t;
             done_ops.(tid) <- done_ops.(tid) + 1;
             if progress then begin
@@ -248,9 +280,12 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
             end)
           spec.script.(tid)
       in
+      let makespan = ref 0 in
       let cut =
         match Engine.run session (Array.init spec.nthreads body) with
-        | _ -> None
+        | m ->
+            makespan := m;
+            None
         | exception Wedged_exn { at; spun } ->
             Some
               ( Wedged { at; spun },
@@ -284,7 +319,7 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
           List.filter_map
             (fun k ->
               let wanted =
-                (if List.mem k spec.initial then 1 else 0)
+                (if List.mem k initial then 1 else 0)
                 + try Hashtbl.find net k with Not_found -> 0
               in
               let lo = ref 0 and hi = ref 0 in
@@ -304,7 +339,10 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
                       else Printf.sprintf ", in-flight slack %+d..%+d" !lo !hi)
                      got)
               else None)
-            (keys_of spec)
+            (* every key the run can touch: initial and scripted *)
+            (List.sort_uniq compare
+               (initial @ List.concat_map (fun ops -> List.map snd (Array.to_list ops))
+                            (Array.to_list spec.script)))
         in
         if bad = [] then None else Some ("set conservation violated: " ^ String.concat "; " bad)
       in
@@ -338,7 +376,8 @@ let execute ?(faults = []) ?(model = Sim.default_model) ~oracles
         Array.iteri (fun tid g -> if g > 0 then l := (tid, g) :: !l) max_gap;
         List.sort (fun (_, a) (_, b) -> compare b a) !l
       in
-      { verdict; violation; starved; crashed; done_ops })
+      let size = if size && Option.is_none cut then Some (M.size t) else None in
+      { verdict; violation; starved; crashed; done_ops; initial; sim; makespan = !makespan; size })
 
 (** [run_once maker spec ~sched] is {!execute} with the SCT oracles
     armed ([~races:true] adds the race detector): [Some description]

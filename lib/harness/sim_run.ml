@@ -1,7 +1,9 @@
-(** Run one CSDS workload inside the multicore simulator and collect the
-    paper's four scalability dimensions: throughput, average latency,
+(** Measure one CSDS workload inside the multicore simulator and collect
+    the paper's four scalability dimensions: throughput, average latency,
     latency distribution, and power (plus the memory-event counters used
-    by Figures 3 and 7). *)
+    by Figures 3 and 7).  The run itself is one free-running
+    {!Sct_run.execute}; this module turns its per-op reports and the
+    finished simulation into a {!result}. *)
 
 module Sim = Ascy_mem.Sim
 module P = Ascy_platform.Platform
@@ -44,14 +46,12 @@ type result = {
   final_size : int;
 }
 
-(* Trace op codes used with Sim.Trace.op_start/op_end. *)
-let op_code = function Workload.Search -> 0 | Workload.Insert -> 1 | Workload.Remove -> 2
-let op_name = function 0 -> "search" | 1 -> "insert" | 2 -> "remove" | c -> string_of_int c
-
 (** [run ?seed ?latency ?history ?trace_capacity ?model (module A)
     ~platform ~nthreads ~workload ~ops_per_thread] executes the workload
     deterministically on the simulated machine and returns every metric
-    of one experiment point.  [latency = true] records a per-operation
+    of one experiment point.  It is one free-running {!Sct_run.execute}
+    of the script {!Sct_run.script_of_workload} draws, prefilled from
+    its own key stream.  [latency = true] records a per-operation
     latency sample (ns).  [history] records every operation's
     invocation/response cycle stamps and result for linearizability
     checking ({!History.check}); prefilled keys are registered as the
@@ -63,98 +63,60 @@ let run ?(seed = 1) ?(latency = false) ?history ?(trace_capacity = 0)
     ?(model = Sim.default_model) (module A : Ascy_core.Set_intf.MAKER) ~platform ~nthreads
     ~(workload : Workload.t) ~ops_per_thread () =
   let module M = A (Sim.Mem) in
-  let cfg = { (Engine.default ~platform ~nthreads) with seed; trace_capacity; model } in
-  Engine.with_session cfg (fun session ->
-      let sim = session.Engine.sim in
-      (* build + prefill happen outside simulated time *)
-      let t = M.create ~hint:workload.Workload.initial () in
-      let rng0 = Ascy_util.Xorshift.create (seed * 31 + 7) in
-      let filled = ref 0 in
-      while !filled < workload.Workload.initial do
-        let k = Workload.pick_key workload rng0 in
-        if M.insert t k 0 then begin
-          incr filled;
-          match history with Some h -> History.add_initial h k | None -> ()
-        end
-      done;
-      Sim.warm sim;
-      let lat = fresh_latencies () in
-      let upd_att = Array.make nthreads 0 in
-      let upd_ok = Array.make nthreads 0 in
-      let ghz = platform.P.ghz in
-      let timed = latency || history <> None in
-      let body tid () =
-        let rng = Ascy_util.Xorshift.create ((seed * 7919) + (tid * 104729) + 13) in
-        for _ = 1 to ops_per_thread do
-          let k = Workload.pick_key workload rng in
-          let op = Workload.pick_op workload rng in
-          Sim.Trace.op_start (op_code op);
-          let t0 = if timed then Sim.now () else 0 in
-          let ok =
-            match op with
-            | Workload.Search -> M.search t k <> None
-            | Workload.Insert ->
-                upd_att.(tid) <- upd_att.(tid) + 1;
-                let r = M.insert t k tid in
-                if r then upd_ok.(tid) <- upd_ok.(tid) + 1;
-                r
-            | Workload.Remove ->
-                upd_att.(tid) <- upd_att.(tid) + 1;
-                let r = M.remove t k in
-                if r then upd_ok.(tid) <- upd_ok.(tid) + 1;
-                r
-          in
-          if timed then begin
-            let t1 = Sim.now () in
-            if latency then begin
-              let h =
-                match (op, ok) with
-                | Workload.Search, true -> lat.search_hit
-                | Workload.Search, false -> lat.search_miss
-                | Workload.Insert, true -> lat.insert_ok
-                | Workload.Insert, false -> lat.insert_fail
-                | Workload.Remove, true -> lat.remove_ok
-                | Workload.Remove, false -> lat.remove_fail
-              in
-              H.add h (float_of_int (t1 - t0) /. ghz)
-            end;
-            match history with
-            | Some h ->
-                let kind =
-                  match op with
-                  | Workload.Search -> History.Search
-                  | Workload.Insert -> History.Insert
-                  | Workload.Remove -> History.Remove
-                in
-                History.record h ~tid ~kind ~key:k ~result:ok ~inv:t0 ~res:t1
-            | None -> ()
-          end;
-          Sim.Trace.op_end (op_code op);
-          M.op_done t
-        done
+  let lat = fresh_latencies () in
+  let upd_att = ref 0 and upd_ok = ref 0 in
+  let on_op ~tid op ~key ~ok ~t0 ~t1 =
+    if op <> Workload.Search then begin
+      incr upd_att;
+      if ok then incr upd_ok
+    end;
+    if latency then begin
+      let h =
+        match (op, ok) with
+        | Workload.Search, true -> lat.search_hit
+        | Workload.Search, false -> lat.search_miss
+        | Workload.Insert, true -> lat.insert_ok
+        | Workload.Insert, false -> lat.insert_fail
+        | Workload.Remove, true -> lat.remove_ok
+        | Workload.Remove, false -> lat.remove_fail
       in
-      let makespan = Engine.run session (Array.init nthreads body) in
-      let stats = Sim.stats sim ~makespan in
-      let thread_stats = Sim.per_thread_stats sim in
-      let ops = nthreads * ops_per_thread in
-      {
-        algorithm = M.name;
-        platform = platform.P.name;
-        nthreads;
-        seed;
-        ops_per_thread;
-        workload;
-        ops;
-        updates_attempted = Array.fold_left ( + ) 0 upd_att;
-        updates_successful = Array.fold_left ( + ) 0 upd_ok;
-        seconds = stats.Sim.seconds;
-        throughput_mops =
-          (if stats.Sim.seconds > 0.0 then float_of_int ops /. stats.Sim.seconds /. 1e6 else 0.0);
-        stats;
-        thread_stats;
-        latencies = lat;
-        final_size = M.size t;
-      })
+      H.add h (float_of_int (t1 - t0) /. platform.P.ghz)
+    end;
+    Option.iter (fun h -> History.record h ~tid ~kind:op ~key ~result:ok ~inv:t0 ~res:t1) history
+  in
+  let rng0 = Ascy_util.Xorshift.create ((seed * 31) + 7) in
+  let spec =
+    Sct_run.mk_spec ~platform ~name:M.name ~initial:[]
+      ~script:(Sct_run.script_of_workload ~workload ~nthreads ~ops_per_thread ~seed)
+      ()
+  in
+  let out =
+    Sct_run.execute ~model ~seed ~trace_capacity
+      ~prefill:(workload.Workload.initial, Seq.forever (fun () -> Workload.pick_key workload rng0))
+      ~hint:workload.Workload.initial ~on_op ~size:true ~oracles:Sct_run.no_oracles (module A) spec
+  in
+  Option.iter failwith out.Sct_run.violation;
+  Option.iter (fun h -> List.iter (History.add_initial h) out.Sct_run.initial) history;
+  let stats = Sim.stats out.Sct_run.sim ~makespan:out.Sct_run.makespan in
+  let ops = nthreads * ops_per_thread in
+  {
+    algorithm = M.name;
+    platform = platform.P.name;
+    nthreads;
+    seed;
+    ops_per_thread;
+    workload;
+    ops;
+    updates_attempted = !upd_att;
+    updates_successful = !upd_ok;
+    seconds = stats.Sim.seconds;
+    throughput_mops =
+      (if stats.Sim.seconds > 0.0 then float_of_int ops /. stats.Sim.seconds /. 1e6 else 0.0);
+    stats;
+    thread_stats = Sim.per_thread_stats out.Sct_run.sim;
+    latencies = lat;
+    final_size = Option.get out.Sct_run.size;
+  }
 
 (** Misses per operation — Figure 3's metric. *)
 let misses_per_op r = float_of_int (Sim.misses r.stats) /. float_of_int (max r.ops 1)

@@ -24,6 +24,13 @@ let low = make ~initial:16384 ~update_pct:10 ()
 
 type op = Search | Insert | Remove
 
+(** The op codes every simulated run brackets its operations with
+    ({!Ascy_mem.Sim.Trace.op_start}/[op_end]); {!Ascy_analysis.Profile}
+    reads them back, so code [0] is the only read-only op. *)
+let op_code = function Search -> 0 | Insert -> 1 | Remove -> 2
+
+let op_name = function 0 -> "search" | 1 -> "insert" | 2 -> "remove" | c -> string_of_int c
+
 (** Zipf-like skewed key popularity (for the paper's brief "non-uniform
     workloads" experiments): exactly a fraction [hot_pct] of accesses hit
     the [hot_keys]-sized prefix of the key range; the rest are uniform

@@ -833,21 +833,14 @@ let run ?scheduler ?(faults = []) sim bodies =
     go ()
   in
   (match scheduler with
-  | None when not sim.any_fault ->
-      let heap = Heap.create sim.nthreads (fun tid -> sim.threads.(tid).clock) in
-      for tid = 0 to sim.nthreads - 1 do
-        Heap.push heap tid
-      done;
-      while not (Heap.is_empty heap) do
-        let tid = Heap.pop heap in
-        match exec_step tid with Finished -> () | Blocked -> Heap.push heap tid
-      done
   | None ->
-      (* Fault-aware free-running loop.  Stalled threads park on a
-         waiting list instead of the clock heap; crashed threads are
-         dropped wherever they surface.  When every live thread is
-         stalled, the decision counter fast-forwards to the earliest
-         expiry (nothing else can make progress in between). *)
+      (* Free-running loop: the smallest clock runs next.  Stalled
+         threads park on a waiting list instead of the clock heap;
+         crashed threads are dropped wherever they surface.  When every
+         live thread is stalled, the decision counter fast-forwards to
+         the earliest expiry (nothing else can make progress in
+         between).  With an empty plan nothing ever waits or crashes,
+         and the fault bookkeeping is two tests per step. *)
       let heap = Heap.create sim.nthreads (fun tid -> sim.threads.(tid).clock) in
       for tid = 0 to sim.nthreads - 1 do
         Heap.push heap tid
@@ -866,8 +859,8 @@ let run ?scheduler ?(faults = []) sim bodies =
       in
       let running = ref true in
       while !running do
-        apply_due_faults ();
-        release_expired ();
+        if sim.any_fault then apply_due_faults ();
+        (match !waiting with [] -> () | _ -> release_expired ());
         if Heap.is_empty heap then
           match !waiting with
           | [] -> running := false

@@ -21,7 +21,7 @@ module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 module Race = Ascy_analysis.Race
-module Check = Ascy_analysis.Ascy_check
+module Check = Ascy_harness.Ascy_check
 module Registry = Ascylib.Registry
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
@@ -211,8 +211,35 @@ let test_async_baseline_ratio_is_one () =
   Alcotest.(check (float 0.001)) "baseline measures itself at 1.0" 1.0
     r.Check.measured.Check.m_ratio
 
+(* Scripted runs bracket every op: a Profile collector attached to a
+   controlled run of the fuzz spec records one profile per scripted op,
+   in completion order, carrying that op's code and result. *)
+let test_scripted_ops_bracketed () =
+  let spec = Sct.fuzz_spec "ll-lazy" in
+  let col = Ascy_analysis.Profile.create ~nthreads:spec.Sct.nthreads in
+  let seen = ref [] in
+  let on_op ~tid op ~key:_ ~ok ~t0:_ ~t1:_ =
+    Ascy_analysis.Profile.set_outcome col ~tid ~ok;
+    seen := (tid, Ascy_harness.Workload.op_code op, ok) :: !seen
+  in
+  let out =
+    Sct.execute ~observer:(Ascy_analysis.Profile.observer col) ~on_op ~oracles:Sct.sct_oracles
+      (Sct.maker_of spec) spec
+      ~sched:(Ascy_sct.Scheduler.prefix_scheduler ~prefix:[||] ())
+  in
+  Alcotest.(check (option string)) "run is clean" None out.Sct.violation;
+  let profiles =
+    List.map
+      (fun p -> Ascy_analysis.Profile.(p.p_tid, p.p_op, p.p_ok))
+      (Ascy_analysis.Profile.ops col)
+  in
+  Alcotest.(check int) "one profile per scripted op" 8 (List.length profiles);
+  Alcotest.(check (list (triple int int bool))) "profiles carry each op's code and result"
+    (List.rev !seen) profiles
+
 let suite =
   [
+    Alcotest.test_case "profile: scripted ops bracketed" `Quick test_scripted_ops_bracketed;
     Alcotest.test_case "race: unsynchronized writers flagged" `Quick test_unsync_writers_flagged;
     Alcotest.test_case "race: unsynchronized counter flagged" `Quick test_unsync_counter_flagged;
     Alcotest.test_case "race: CAS-ordered clean" `Quick test_cas_ordered_clean;
